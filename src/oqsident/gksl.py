@@ -20,6 +20,9 @@ with
     D^{(j,k)}_lm = (1/4) sum_p (z_lpk f_jmp + conj(z_mpk) f_jlp),
     z_jkl = f_jkl + i g_jkl.
 
+`drift` is the one implementation of this forward map; `assemble_system`
+and the residual checks of `paramrec` both call it.
+
 For real symmetric gamma the offset beta vanishes and A_d is symmetric,
 which is what makes the Toeplitz-style split A = A_l + A_d recoverable
 from A alone (antisymmetric and symmetric parts).
@@ -136,6 +139,24 @@ class EmbeddedSystem:
     x0_emb: np.ndarray
 
 
+def drift(tensors, dim, theta, gamma):
+    """The forward map (theta, gamma) -> (A_l, A_d, beta).
+
+    Each contraction is a matrix product of reshaped structure tensors,
+    O(n^4) in all.  A_d and beta are returned complex; for Hermitian
+    gamma their imaginary parts are rounding residue.
+    """
+    n = tensors.n
+    f = tensors.f_dense()
+    Z = tensors.z_dense().reshape(n, n * n)
+    A_l = -(f.reshape(n * n, n) @ theta).reshape(n, n)
+    # (gamma^T Z)[m, (p, k)] = sum_l gamma_lm z_lpk, contracted with f_jmp
+    W = (gamma.T @ Z + gamma @ Z.conj()).reshape(n * n, n)
+    A_d = -0.25 * (f.reshape(n, n * n) @ W)
+    beta = (1j / dim) * (f.reshape(n, n * n) @ gamma.reshape(-1))
+    return A_l, A_d, beta
+
+
 def assemble_system(basis, tensors, params, observables=None):
     """Build the coherence-vector system matrices from GKSL data.
 
@@ -166,28 +187,19 @@ def assemble_system(basis, tensors, params, observables=None):
     if tensors.n != n:
         raise ValueError("structure tensors do not match basis dimension")
 
-    f = tensors.f_dense()
-    z = tensors.z_dense()
-    gamma = params.gamma
     N = basis.dim
-
-    A_l = -np.einsum("l,jkl->jk", params.theta, f)
-
-    term1 = np.einsum("lm,lpk,jmp->jk", gamma, z, f)
-    term2 = np.einsum("lm,mpk,jlp->jk", gamma, z.conj(), f)
-    A_d = -0.25 * (term1 + term2)
+    A_l, A_d, beta = drift(tensors, N, params.theta, params.gamma)
     res = np.max(np.abs(A_d.imag))
     if res >= 1e-10:
         raise ValueError(f"dissipative block has imaginary residue {res:.3e}")
     A_d = A_d.real
 
-    beta = (1j / N) * np.einsum("kl,jkl->j", gamma, f)
     res = np.max(np.abs(beta.imag))
     if res >= 1e-10:
         raise ValueError(f"offset vector has imaginary residue {res:.3e}")
     beta = beta.real
 
-    N_list = -f  # N_list[c][j, k] = -f_cjk
+    N_list = -tensors.f_dense()  # N_list[c][j, k] = -f_cjk
 
     if observables is None:
         C = np.eye(n)

@@ -51,31 +51,19 @@ class LinearRankResult:
 def linear_rank_test(A, B, C):
     """Kalman ranks of (A, B, C).
 
-    Builds the stacked observability matrix [C; CA; ...; C A^{n-1}] and
-    the controllability matrix [B, AB, ..., A^{n-1} B] and returns their
-    numerical ranks (SVD cutoff max_dim * eps * sigma_max).
+    The ranks of [B, AB, ..., A^{n-1} B] and [C; CA; ...; C A^{n-1}],
+    computed as the word spans of `bilinear_span_test` with no control
+    matrices.  The span normalizes each new direction before deciding its
+    rank, so the growth of A^k with k cannot push true directions below
+    the rank cutoff.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape[0] != n:
         B = B.T
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-
-    obs_blocks, ctrl_blocks = [], []
-    row, col = C, B
-    for _ in range(n):
-        obs_blocks.append(row)
-        ctrl_blocks.append(col)
-        row = row @ A
-        col = A @ col
-    OM = np.vstack(obs_blocks)
-    CM = np.hstack(ctrl_blocks)
-    return LinearRankResult(
-        n=n,
-        rank_obs=int(np.linalg.matrix_rank(OM)),
-        rank_ctrl=int(np.linalg.matrix_rank(CM)),
-    )
+    span = bilinear_span_test(A, [], B, C)
+    return LinearRankResult(n=n, rank_obs=span.rank_obs, rank_ctrl=span.rank_ctrl)
 
 
 def _normalize_columns(V):

@@ -215,19 +215,14 @@ class StructureTensors:
         return table
 
 
-def structure_constants(basis, cutoff=1e-12, chunk=256):
+def structure_constants(basis, cutoff=1e-12):
     """Extract structure constants of a basis by trace projection.
-
-    Works chunk-wise over the first index so the commutator stack never
-    exceeds `chunk * N * N` complex entries.
 
     Parameters
     ----------
     basis : LieBasis
     cutoff : float
         Entries with absolute value <= cutoff are treated as exact zeros.
-    chunk : int
-        Number of j-indices processed per pass.
 
     Returns
     -------
@@ -240,50 +235,28 @@ def structure_constants(basis, cutoff=1e-12, chunk=256):
         indicates a broken basis (non-Hermitian or non-closed).
     """
     F = basis.generators
-    n = basis.n
     # Projection denominators; all equal, but computing them keeps the
     # extraction correct for the unnormalized helper basis.
     denom = np.einsum("lab,lba->l", F, F).real
+    prod = np.einsum("jab,kbc->jkac", F, F)
+    prod_t = prod.transpose(1, 0, 2, 3)  # F_k F_j as (j, k) array
+    # f_jkl = -i Tr([F_j, F_k] F_l) / denom_l, g analogous without the -i.
+    f_all = -1j * np.einsum("jkab,lba->jkl", prod - prod_t, F) / denom
+    g_all = np.einsum("jkab,lba->jkl", prod + prod_t, F) / denom
 
-    f_ind, f_val, g_ind, g_val = [], [], [], []
-    for j0 in range(0, n, chunk):
-        j1 = min(j0 + chunk, n)
-        Fj = F[j0:j1]
-        prod = np.einsum("jab,kbc->jkac", Fj, F)
-        prod_t = prod.transpose(1, 0, 2, 3)  # F_k F_j as (j, k) array
-        comm = prod - prod_t
-        anti = prod + prod_t
-        # f_jkl = -i Tr(comm F_l) / denom_l, g analogous without the -i.
-        f_blk = -1j * np.einsum("jkab,lba->jkl", comm, F) / denom
-        g_blk = np.einsum("jkab,lba->jkl", anti, F) / denom
-        for name, blk, ind, val in (
-            ("f", f_blk, f_ind, f_val),
-            ("g", g_blk, g_ind, g_val),
-        ):
-            imag_res = np.max(np.abs(blk.imag)) if blk.size else 0.0
-            if imag_res >= 1e-10:
-                raise ValueError(
-                    f"{name} constants have imaginary residue {imag_res:.3e}; "
-                    "basis is not a valid Hermitian generator set"
-                )
-            blk = blk.real
-            jj, kk, ll = np.nonzero(np.abs(blk) > cutoff)
-            ind.append(np.column_stack([jj + j0, kk, ll]))
-            val.append(blk[jj, kk, ll])
+    def _sparse(name, t):
+        imag_res = np.max(np.abs(t.imag))
+        if imag_res >= 1e-10:
+            raise ValueError(
+                f"{name} constants have imaginary residue {imag_res:.3e}; "
+                "basis is not a valid Hermitian generator set"
+            )
+        ind = np.argwhere(np.abs(t.real) > cutoff)  # sorted by (j, k, l)
+        return ind, t.real[tuple(ind.T)]
 
-    def _pack(ind, val):
-        if ind:
-            i = np.concatenate(ind)
-            v = np.concatenate(val)
-        else:
-            i = np.zeros((0, 3), dtype=int)
-            v = np.zeros(0)
-        order = np.lexsort((i[:, 2], i[:, 1], i[:, 0]))
-        return i[order], v[order]
-
-    fi, fv = _pack(f_ind, f_val)
-    gi, gv = _pack(g_ind, g_val)
-    return StructureTensors(n=n, f_ind=fi, f_val=fv, g_ind=gi, g_val=gv, cutoff=cutoff)
+    fi, fv = _sparse("f", f_all)
+    gi, gv = _sparse("g", g_all)
+    return StructureTensors(n=basis.n, f_ind=fi, f_val=fv, g_ind=gi, g_val=gv, cutoff=cutoff)
 
 
 @dataclass

@@ -8,13 +8,16 @@ The coherence-vector drift depends linearly on the generator parameters,
 with row-major vectorization vec(A)[(j, k)] = A[j, k] at row j*n + k and
 
     T1[(j, k), c]       = -f_jkc
-    T2[(j, k), (l, m)]  = -D^{(j,k)}_{lm}          (see gksl for D)
+    T2[(j, k), (l, m)]  = -D^{(j,k)}_{lm}
+    D^{(j,k)}_lm        = (1/4) sum_p (z_lpk f_jmp + conj(z_mpk) f_jlp)
 
 so the stacked map M = [[T1, T2], [0, -(i/N) T1^T]] sends (theta,
 vec(gamma)) to (vec(A), beta).  The sign of the lower-right block is
 fixed by the round-trip identity beta_j = (i/N) sum_kl gamma_kl f_jkl
 together with the total antisymmetry of f; the test suite pins it
-against the independently assembled system matrices.
+against the independently assembled system matrices.  Recovery inverts
+this map; the residual checks of recovered parameters evaluate it
+forward through `gksl.drift`, its one implementation.
 
 For real symmetric gamma the dissipative block simplifies to
 
@@ -36,6 +39,8 @@ result names its branch; nothing is silently approximated.
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .gksl import drift
 
 
 @dataclass
@@ -156,27 +161,6 @@ class RecoveredParams:
     notes: list = field(default_factory=list)
 
 
-def _assemble_drift(tensors, dim, theta, gamma):
-    """Drift blocks from parameters, for residual checks only.
-
-    Same contractions as gksl.assemble_system; the independent oracle
-    cross-check between the two routes lives in the tests.
-    """
-    f = tensors.f_dense()
-    z = tensors.z_dense()
-    A = np.zeros((tensors.n, tensors.n))
-    if theta is not None:
-        A = A - np.einsum("l,jkl->jk", theta, f)
-    if gamma is not None:
-        term1 = np.einsum("lm,lpk,jmp->jk", gamma, z, f)
-        term2 = np.einsum("lm,mpk,jlp->jk", gamma, z.conj(), f)
-        A = A - 0.25 * (term1 + term2).real
-    beta = np.zeros(tensors.n)
-    if gamma is not None:
-        beta = ((1j / dim) * np.einsum("kl,jkl->j", gamma, f)).real
-    return A, beta
-
-
 def _gamma_from_beta(mats, beta, range_tol):
     """Minimum-norm Hermitian gamma consistent with the offset beta.
 
@@ -217,7 +201,7 @@ def reconstruct_general(A, beta, mats, cond_cap=1e12, range_tol=1e-8):
         g = y[n:].reshape(n, n)
         defect = float(np.linalg.norm(g - g.conj().T) / 2.0)
         gamma = 0.5 * (g + g.conj().T)
-        A_chk, beta_chk = _assemble_drift(mats.tensors, mats.N, theta, gamma)
+        A_l_chk, A_d_chk, beta_chk = drift(mats.tensors, mats.N, theta, gamma)
         notes = []
         im = float(np.max(np.abs(theta_raw.imag)))
         if im > range_tol:
@@ -226,8 +210,8 @@ def reconstruct_general(A, beta, mats, cond_cap=1e12, range_tol=1e-8):
             status="full",
             theta=theta,
             gamma=gamma,
-            residual_A=float(np.linalg.norm(A_chk - A)),
-            residual_beta=float(np.linalg.norm(beta_chk - beta)),
+            residual_A=float(np.linalg.norm(A_l_chk + A_d_chk.real - A)),
+            residual_beta=float(np.linalg.norm(beta_chk.real - beta)),
             kappa=kappa,
             hermiticity_defect=defect,
             notes=notes,
@@ -237,7 +221,7 @@ def reconstruct_general(A, beta, mats, cond_cap=1e12, range_tol=1e-8):
     if np.linalg.matrix_rank(mats.T1) == n:
         gamma, resid = _gamma_from_beta(mats, beta, range_tol)
         if gamma is not None:
-            _, beta_chk = _assemble_drift(mats.tensors, mats.N, None, gamma)
+            beta_chk = drift(mats.tensors, mats.N, np.zeros(n), gamma)[2].real
             notes.append("gamma is the minimum-norm solution from beta alone")
             return RecoveredParams(
                 status="gamma-only",
@@ -272,16 +256,16 @@ def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
 
     gamma = None
     vec_d = A_d.reshape(-1)
-    if np.linalg.matrix_rank(mats.T3) == mats.T3.shape[1]:
-        sol, *_ = np.linalg.lstsq(mats.T3, vec_d, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(mats.T3, vec_d, rcond=None)
+    if rank == mats.T3.shape[1]:
         resid_d = np.linalg.norm(mats.T3 @ sol - vec_d)
         if resid_d <= range_tol * (1.0 + np.linalg.norm(vec_d)):
             gamma = idx.expand_sym(sol)
 
     theta = None
     vec_l = A_l.reshape(-1)
-    if np.linalg.matrix_rank(mats.T1) == n:
-        sol, *_ = np.linalg.lstsq(mats.T1, vec_l, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(mats.T1, vec_l, rcond=None)
+    if rank == n:
         resid_l = np.linalg.norm(mats.T1 @ sol - vec_l)
         if resid_l <= range_tol * (1.0 + np.linalg.norm(vec_l)):
             theta = sol
@@ -311,11 +295,16 @@ def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
     else:
         return RecoveredParams(status="not-recoverable", notes=["no block recoverable"])
 
-    A_chk, beta_chk = _assemble_drift(mats.tensors, mats.N, theta, gamma)
-    residual_A = float(np.linalg.norm(A_chk - A)) if status == "full" else None
+    A_l_chk, A_d_chk, beta_chk = drift(
+        mats.tensors,
+        mats.N,
+        np.zeros(n) if theta is None else theta,
+        np.zeros((n, n)) if gamma is None else gamma,
+    )
+    residual_A = float(np.linalg.norm(A_l_chk + A_d_chk.real - A)) if status == "full" else None
     residual_beta = None
     if beta is not None and gamma is not None:
-        residual_beta = float(np.linalg.norm(beta_chk - np.asarray(beta, dtype=float)))
+        residual_beta = float(np.linalg.norm(beta_chk.real - np.asarray(beta, dtype=float)))
     return RecoveredParams(
         status=status,
         theta=theta,

@@ -64,7 +64,7 @@ def project_traceless(basis, drho):
     return x.real
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_coherence_dynamics_match_direct_rhs(num_qubits):
     basis = build_basis(num_qubits)
     tensors = structure_constants(basis)

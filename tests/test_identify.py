@@ -56,6 +56,16 @@ def test_linear_rank_rotation_full():
     assert res.observable and res.controllable
 
 
+def test_linear_rank_wide_spectrum_full():
+    # distinct eigenvalues -1..-15: controllable and observable from one
+    # column / row, though A^14 is 15^14 times larger than A^0
+    A = np.diag(-np.arange(1, 16.0))
+    res = linear_rank_test(A, np.eye(15), np.eye(15))
+    assert res.rank_obs == 15 and res.rank_ctrl == 15
+    res = linear_rank_test(A, np.ones((15, 1)), np.ones((1, 15)))
+    assert res.observable and res.controllable
+
+
 def test_bilinear_span_agrees_with_brute_force():
     rng = np.random.default_rng(101)
     for dim in (2, 3, 4):
@@ -294,6 +304,20 @@ def test_report_autonomous_golden_passes():
     )
     assert rep.verdict is True
     assert rep.clauses == []
+
+
+def test_report_autonomous_three_qubit_random_passes():
+    basis = build_basis(3)
+    n = basis.n
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(n, n))
+    params = GkslParams(theta=rng.normal(size=n), gamma=0.5 * m @ m.T / n, symmetric=True)
+    sys = assemble_system(basis, structure_constants(basis), params)
+    rep = identifiability_report(
+        sys, mode="autonomous", schedule=golden_schedule(T=0.5, l=2)
+    )
+    assert rep.verdict is True
+    assert rep.rank_obs == n and rep.rank_ctrl == n
 
 
 def test_report_autonomous_uniform_fails_with_clause():
