@@ -37,8 +37,10 @@ result names its branch; nothing is silently approximated.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .gksl import drift
 
@@ -83,7 +85,9 @@ class ReconstructionMatrices:
 
     T2 and M are built for general (Hermitian gamma) recovery, T3 for the
     real-symmetric route; unused blocks stay None.  The structure tensors
-    are kept for residual evaluation.
+    are kept for residual evaluation.  The factors of M depend only on the
+    basis; each is computed on first use and kept, so M must not be
+    replaced afterwards.
     """
 
     n: int
@@ -93,6 +97,16 @@ class ReconstructionMatrices:
     T2: np.ndarray = None
     M: np.ndarray = None
     T3: np.ndarray = None
+
+    @cached_property
+    def M_singular_values(self):
+        """Singular values of M, largest first."""
+        return np.linalg.svd(self.M, compute_uv=False)
+
+    @cached_property
+    def M_lu(self):
+        """LU factorization of M as returned by scipy.linalg.lu_factor."""
+        return lu_factor(self.M)
 
 
 def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
@@ -112,11 +126,13 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
     mats = ReconstructionMatrices(n=n, N=dim, T1=T1, tensors=tensors)
 
     if general:
-        z = tensors.z_dense()
-        term1 = np.einsum("lpk,jmp->jklm", z, f)
-        term2 = np.einsum("mpk,jlp->jklm", z.conj(), f)
-        D = 0.25 * (term1 + term2)
-        T2 = -D.reshape(n * n, n * n)
+        # X[j, k, l, m] = sum_p z_lpk f_jmp; f is real, so the conj(z) term
+        # of D^{(j,k)}_lm is conj(X) with l and m swapped.
+        X = np.tensordot(f, tensors.z_dense(), axes=([2], [1])).transpose(0, 3, 2, 1)
+        T2 = np.conjugate(X.swapaxes(2, 3), out=np.empty((n,) * 4, dtype=complex))
+        T2 += X
+        T2 *= -0.25
+        T2 = T2.reshape(n * n, n * n)
         M = np.zeros((n * n + n, n + n * n), dtype=complex)
         M[: n * n, :n] = T1
         M[: n * n, n:] = T2
@@ -125,16 +141,15 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
         mats.M = M
 
     if symmetric:
-        Dt = 0.5 * np.einsum("jmp,klp->jklm", f, f)
-        T2t = -Dt.reshape(n * n, n * n)
-        idx = GammaIndexMap(n)
-        cols = []
-        for j, k in idx.sym_pairs():
-            if j == k:
-                cols.append(T2t[:, idx.index(j, j)])
-            else:
-                cols.append(T2t[:, idx.index(j, k)] + T2t[:, idx.index(k, j)])
-        mats.T3 = np.column_stack(cols)
+        # Y[j, k, l, m] = sum_p f_jmp f_klp = 2 Dt^{(j,k)}_lm.  Column (l, m)
+        # of T3 merges the (l, m) and (m, l) columns of -Dt; on the diagonal
+        # the pair is one column, added twice and halved (exact).
+        Y = np.tensordot(f, f, axes=([2], [2])).transpose(0, 2, 3, 1)
+        rows, cols = np.triu_indices(n)
+        T3 = Y[:, :, rows, cols]
+        T3 += Y[:, :, cols, rows]
+        T3 *= np.where(rows == cols, -0.25, -0.5)
+        mats.T3 = T3.reshape(n * n, len(rows))
 
     return mats
 
@@ -146,7 +161,8 @@ class RecoveredParams:
     status is one of 'full', 'gamma-only', 'theta-only',
     'theta-and-beta-gamma', 'not-recoverable'.  Residuals are reassembly
     errors of the recovered parameters against the given drift data;
-    kappa is the condition number of M when the full solve ran;
+    kappa is the 2-norm condition number of M, computed once per
+    ReconstructionMatrices and reported by every general-mode attempt;
     hermiticity_defect measures how far the raw gamma solution was from
     Hermitian before projection.
     """
@@ -193,9 +209,10 @@ def reconstruct_general(A, beta, mats, cond_cap=1e12, range_tol=1e-8):
     beta = np.asarray(beta, dtype=float)
     rhs = np.concatenate([A.reshape(-1), beta]).astype(complex)
 
-    kappa = float(np.linalg.cond(mats.M))
+    s = mats.M_singular_values
+    kappa = float(s[0] / s[-1])
     if np.isfinite(kappa) and kappa < cond_cap:
-        y = np.linalg.solve(mats.M, rhs)
+        y = lu_solve(mats.M_lu, rhs)
         theta_raw = y[:n]
         theta = theta_raw.real
         g = y[n:].reshape(n, n)
@@ -340,7 +357,7 @@ def error_bound(mats, delta_M_norm, A, delta_A_norm, beta=None):
         beta = np.zeros(n)
     rhs_norm = np.linalg.norm(np.concatenate([A.reshape(-1), np.asarray(beta)]))
 
-    s = np.linalg.svd(mats.M, compute_uv=False)
+    s = mats.M_singular_values
     norm_M = s[0]
     inv_norm = 1.0 / s[-1]
     kappa = norm_M * inv_norm

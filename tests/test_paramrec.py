@@ -77,6 +77,50 @@ def test_forward_map_matches_assembled_system(num_qubits):
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_build_matches_einsum_formulas(num_qubits):
+    # the blocks written as the module docstring states them, contracted
+    # term by term; the build must reproduce them exactly
+    basis, tensors, mats = setup(num_qubits)
+    n, N = basis.n, basis.dim
+    f, z = tensors.f_dense(), tensors.z_dense()
+    D = 0.25 * (np.einsum("lpk,jmp->jklm", z, f)
+                + np.einsum("mpk,jlp->jklm", z.conj(), f))
+    T2 = -D.reshape(n * n, n * n)
+    M = np.zeros((n * n + n, n + n * n), dtype=complex)
+    M[: n * n, :n] = mats.T1
+    M[: n * n, n:] = T2
+    M[n * n :, n:] = -(1j / N) * mats.T1.T
+    T2t = -(0.5 * np.einsum("jmp,klp->jklm", f, f)).reshape(n * n, n * n)
+    idx = GammaIndexMap(n)
+    T3 = np.column_stack([
+        T2t[:, idx.index(j, k)] + (T2t[:, idx.index(k, j)] if j != k else 0.0)
+        for j, k in idx.sym_pairs()
+    ])
+    assert np.array_equal(mats.T1, -f.reshape(n * n, n))
+    assert np.array_equal(mats.T2, T2)
+    assert np.array_equal(mats.M, M)
+    assert np.array_equal(mats.T3, T3)
+
+
+def test_general_factors_are_lazy_and_reused():
+    basis, tensors, mats = setup(2, symmetric=False)
+    assert "M_singular_values" not in vars(mats)
+    assert "M_lu" not in vars(mats)
+    rng = np.random.default_rng(311)
+    n = basis.n
+    params = GkslParams(theta=rng.normal(size=n), gamma=random_hermitian(rng, n))
+    sys = assemble_system(basis, tensors, params)
+    first = reconstruct_general(sys.A, sys.beta, mats)
+    s, lu = mats.M_singular_values, mats.M_lu
+    second = reconstruct_general(sys.A, sys.beta, mats)
+    assert first.status == second.status == "full"
+    assert first.kappa == second.kappa == np.linalg.cond(mats.M)
+    assert np.array_equal(first.theta, second.theta)
+    assert np.array_equal(first.gamma, second.gamma)
+    assert mats.M_singular_values is s and mats.M_lu is lu
+
+
 def test_t3_matches_symmetric_dissipator():
     basis, tensors, mats = setup(1)
     idx = GammaIndexMap(basis.n)

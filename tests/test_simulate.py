@@ -2,19 +2,30 @@
 
 The oracle for trajectory checks is the matrix exponential of the
 embedded drift, evaluated piecewise over the constant-input segments.
+The step-by-step RK4 loop is kept here as the reference for the
+propagator powers `simulate` takes over each segment.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oqsident import (
+    GkslParams,
     MeasurementRecord,
     Pulse,
     SamplingSchedule,
+    assemble_system,
+    build_basis,
+    embed_standard_form,
     golden_schedule,
     make_pulse_family,
     simulate,
+    structure_constants,
 )
 from oqsident.gksl import CoherenceSystem
 
@@ -214,3 +225,123 @@ def test_record_len_and_meta():
     assert rec.x is None
     assert rec.meta["seed"] == 5
     assert rec.meta["steps_per_interval"] == 50
+
+
+def segment_drifts(A, N_list, schedule, pulses):
+    """Stamp times and the (a, b, drift) segments between consecutive
+    events, with the stamp arithmetic and pulse sums of `simulate`."""
+    T, times, frames = schedule.T, schedule.times, schedule.frames
+    stamps = [k * T + t for k in range(frames) for t in times[:-1]]
+    stamps.append((frames - 1) * T + times[-1])
+    edges = [p.tau for p in pulses if 0.0 < p.tau < stamps[-1]]
+    events = np.unique(np.concatenate([stamps, edges, [0.0]]))
+    segments = []
+    for a, b in zip(events[:-1], events[1:]):
+        u = np.zeros(len(N_list))
+        for p in pulses:
+            if p.tau > 0 and a < p.tau:
+                u[p.channel] += p.alpha
+        Mseg = A.copy()
+        for c in np.nonzero(u)[0]:
+            Mseg = Mseg + u[c] * N_list[c]
+        segments.append((a, b, Mseg))
+    return np.array(stamps), segments
+
+
+def rk4_reference(sys, schedule, pulses, x0, steps_per_interval):
+    """States at the stamps from the stepwise classical RK4 loop."""
+    stamps, segments = segment_drifts(sys.A, sys.N_list, schedule, pulses)
+    h_max = schedule.taus.min() / steps_per_interval
+    beta = sys.beta
+    x = np.array(x0, dtype=float)
+    states = {0.0: x}
+    for a, b, Mseg in segments:
+        nstep = max(1, math.ceil((b - a) / h_max))
+        h = (b - a) / nstep
+        for _ in range(nstep):
+            k1 = Mseg @ x + beta
+            k2 = Mseg @ (x + 0.5 * h * k1) + beta
+            k3 = Mseg @ (x + 0.5 * h * k2) + beta
+            k4 = Mseg @ (x + h * k3) + beta
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[b] = x
+    return np.array([states[t] for t in stamps])
+
+
+def exact_states(sys, schedule, pulses, x0):
+    """States at the stamps from the piecewise exact affine flow."""
+    stamps, segments = segment_drifts(sys.A, sys.N_list, schedule, pulses)
+    x = np.array(x0, dtype=float)
+    states = {0.0: x}
+    for a, b, Mseg in segments:
+        x = flow(Mseg, sys.beta, x, b - a)
+        states[b] = x
+    return np.array([states[t] for t in stamps])
+
+
+_BASIS_1Q = build_basis(1)
+_TENSORS_1Q = structure_constants(_BASIS_1Q)
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    gamma_re=st.lists(_unit, min_size=9, max_size=9),
+    gamma_im=st.lists(_unit, min_size=9, max_size=9),
+    x0=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    pulses=st.lists(
+        st.tuples(st.floats(0.0, 2.5), st.floats(-2.0, 2.0), st.integers(0, 2)),
+        max_size=4,
+    ),
+    T=st.floats(0.3, 1.2),
+    l=st.integers(0, 2),
+    frames=st.integers(1, 3),
+    steps_per_interval=st.integers(1, 60),
+)
+def test_segment_propagator_matches_stepwise_rk4(
+    theta, gamma_re, gamma_im, x0, pulses, T, l, frames, steps_per_interval
+):
+    # a physical 1-qubit generator with Hermitian PSD gamma, so beta != 0
+    # in general, under random overlapping pulses
+    m = np.reshape(gamma_re, (3, 3)) + 1j * np.reshape(gamma_im, (3, 3))
+    gamma = 0.5 * (m @ m.conj().T)
+    params = GkslParams(theta=np.array(theta), gamma=gamma)
+    sys = assemble_system(_BASIS_1Q, _TENSORS_1Q, params)
+    pulses = [Pulse(tau=tau, alpha=alpha, channel=c) for tau, alpha, c in pulses]
+    sched = golden_schedule(T=T, l=l, frames=frames)
+    x0 = np.array(x0)
+
+    ref = rk4_reference(sys, sched, pulses, x0, steps_per_interval)
+    scale = np.linalg.norm(ref)
+    affine = simulate(sys, sched, pulses=pulses, x0=x0, record_states=True,
+                      steps_per_interval=steps_per_interval)
+    embedded = simulate(embed_standard_form(sys), sched, pulses=pulses,
+                        x0=np.append(x0, 1.0), record_states=True,
+                        steps_per_interval=steps_per_interval)
+    assert np.linalg.norm(affine.x - ref) <= 1e-12 * scale
+    assert np.linalg.norm(embedded.x[:, :3] - ref) <= 1e-12 * scale
+    assert np.array_equal(embedded.x[:, 3], np.ones(len(embedded)))
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+def test_one_step_per_interval_is_rk4_not_expm(embedded):
+    # with one step per shortest interval the propagator power must still
+    # reproduce RK4, whose truncation error here is far above rounding
+    rng = np.random.default_rng(41)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    params = GkslParams(theta=np.array([1.5, -0.8, 1.1]), gamma=0.3 * m @ m.conj().T)
+    sys = assemble_system(_BASIS_1Q, _TENSORS_1Q, params)
+    pulses = [Pulse(tau=0.7, alpha=1.2, channel=1), Pulse(tau=0.45, alpha=-0.6, channel=1)]
+    sched = golden_schedule(T=1.0, l=2, frames=2)
+    x0 = np.array([0.3, -0.2, 0.4])
+    target = embed_standard_form(sys) if embedded else sys
+    start = np.append(x0, 1.0) if embedded else x0
+    rec = simulate(target, sched, pulses=pulses, x0=start, record_states=True,
+                   steps_per_interval=1)
+    got = rec.x[:, :3]
+    ref = rk4_reference(sys, sched, pulses, x0, 1)
+    exact = exact_states(sys, sched, pulses, x0)
+    scale = np.linalg.norm(ref)
+    assert np.linalg.norm(got - ref) <= 1e-12 * scale
+    assert np.linalg.norm(got - exact) > 1e-6 * scale
