@@ -6,21 +6,6 @@ continuous-time system matrices from multirate samples, and recovers the
 Hamiltonian and Kossakowski parameters from the reconstructed drift.
 """
 
-import os
-
-# Cap the linear-algebra thread pools before numpy spins them up.  Only
-# takes effect when the standard BLAS variables are not already set.
-_threads = os.environ.get("OQS_IDENT_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-del os, _threads
-
 from .gksl import (
     CoherenceSystem,
     EmbeddedSystem,

@@ -318,16 +318,12 @@ def accessible_set(tensors, measured, delta):
         bad = [i for i in s if not 0 <= i < n]
         if bad:
             raise ValueError(f"{name} indices out of range: {bad}")
-    lookup = tensors.f_lookup()
+    j, k, l = tensors.f_ind.T
+    in_delta = np.isin(k, list(delta))
     current = set(measured)
     iterations = 0
     while True:
-        additions = set()
-        for g in current:
-            for h in delta:
-                for l, _ in lookup.get((g, h), []):
-                    if l not in current:
-                        additions.add(l)
+        additions = set(l[in_delta & np.isin(j, list(current))].tolist()) - current
         if not additions:
             break
         current |= additions

@@ -11,15 +11,16 @@ Conventions used throughout the package:
 * Structure constants are defined through
 
       [F_j, F_k]  = i * sum_l f_jkl F_l
-      {F_j, F_k}  = (2/N) delta_jk I + sum_l g_jkl F_l
+      {F_j, F_k}  = (2/N) delta_jk I + sum_l g_jkl F_l,
 
-  and extracted by trace projection,
+  equivalently by the trace formulas
 
       f_jkl = -i Tr([F_j, F_k] F_l) / Tr(F_l F_l)
-      g_jkl =    Tr({F_j, F_k} F_l) / Tr(F_l F_l).
+      g_jkl =    Tr({F_j, F_k} F_l) / Tr(F_l F_l),
 
-  The division by Tr(F_l F_l) makes the extraction valid for the
-  unnormalized helper basis as well (plain Pauli words, Tr(F_l F_l) = N).
+  which hold for the unnormalized helper basis as well (plain Pauli words,
+  Tr(F_l F_l) = N).  `structure_constants` computes them in closed form by
+  the Pauli product rule, not by projection.
 * f is real and totally antisymmetric, g is real and symmetric in its first
   two indices with g_jjl = 0.  For a Pauli word basis both tensors are very
   sparse: for fixed (j, k) at most one l carries a nonzero f and at most one
@@ -44,6 +45,11 @@ _PAULI = {
 # Lexicographic symbol order fixing the generator index map.
 _SYMBOLS = ("I", "x", "y", "z")
 
+# sigma_a sigma_b = _PHASE[a, b] sigma_(a ^ b), symbols coded 0..3 in _SYMBOLS order.
+_SIGMA = [_PAULI[s] for s in _SYMBOLS]
+_PHASE = np.array([[np.trace(sa @ sb @ _SIGMA[a ^ b]) / 2 for b, sb in enumerate(_SIGMA)]
+                   for a, sa in enumerate(_SIGMA)])
+
 
 def pauli_words(num_qubits):
     """Return the n = 4**q - 1 Pauli word labels in lexicographic order.
@@ -60,6 +66,10 @@ def _word_matrix(word):
     for ch in word[1:]:
         out = np.kron(out, _PAULI[ch])
     return out
+
+
+def _word_stack(words, scale):
+    return np.stack([_word_matrix(w) for w in words]).astype(complex) * scale
 
 
 @dataclass
@@ -142,7 +152,7 @@ def build_basis(num_qubits, normalized=True):
     N = 2**num_qubits
     words = pauli_words(num_qubits)
     scale = 1.0 / np.sqrt(N) if normalized else 1.0
-    gens = np.stack([_word_matrix(w) for w in words]).astype(complex) * scale
+    gens = _word_stack(words, scale)
     ident = np.eye(N, dtype=complex) * scale
     basis = LieBasis(
         num_qubits=num_qubits,
@@ -161,8 +171,8 @@ def build_basis(num_qubits, normalized=True):
 class StructureTensors:
     """Sparse structure constants of a LieBasis.
 
-    Entries with |value| <= cutoff are dropped.  The COO index arrays are
-    0-based and sorted lexicographically by (j, k, l).
+    Only nonzero entries are stored.  The COO index arrays are 0-based
+    and sorted lexicographically by (j, k, l).
 
     Attributes
     ----------
@@ -172,8 +182,6 @@ class StructureTensors:
     f_val : ndarray, shape (nnz_f,), float
     g_ind, g_val : ndarray
         Same layout for the symmetric constants.
-    cutoff : float
-        Magnitude threshold used during extraction.
     """
 
     n: int
@@ -181,7 +189,6 @@ class StructureTensors:
     f_val: np.ndarray
     g_ind: np.ndarray
     g_val: np.ndarray
-    cutoff: float = 1e-12
     _f_dense: np.ndarray = field(default=None, repr=False, compare=False)
     _g_dense: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -207,22 +214,20 @@ class StructureTensors:
         """Combined tensor z_jkl = f_jkl + i g_jkl used in dissipator assembly."""
         return self.f_dense() + 1j * self.g_dense()
 
-    def f_lookup(self):
-        """Dict mapping (j, k) to a list of (l, f_jkl) pairs."""
-        table = {}
-        for (j, k, l), v in zip(map(tuple, self.f_ind), self.f_val):
-            table.setdefault((j, k), []).append((l, v))
-        return table
 
+def structure_constants(basis):
+    """Structure constants of a Pauli word basis by the Pauli product rule.
 
-def structure_constants(basis, cutoff=1e-12):
-    """Extract structure constants of a basis by trace projection.
+    Word j has code j + 1, two bits per qubit, so F_j F_k = s phase_jk F_l
+    with l = ((j + 1) ^ (k + 1)) - 1 (-1 is the identity), the word scale
+    s (1/sqrt(N) or 1) and phase_jk the product of the per-qubit phases.
+    Hence f_jkl = 2 s Im(phase_jk) and, for l >= 0, g_jkl = 2 s Re(phase_jk).
 
     Parameters
     ----------
     basis : LieBasis
-    cutoff : float
-        Entries with absolute value <= cutoff are treated as exact zeros.
+        A Pauli word basis as `build_basis` or `jsonio.read_basis` returns
+        it, normalized or raw.
 
     Returns
     -------
@@ -231,32 +236,36 @@ def structure_constants(basis, cutoff=1e-12):
     Raises
     ------
     ValueError
-        If any extracted constant has an imaginary part >= 1e-10, which
-        indicates a broken basis (non-Hermitian or non-closed).
+        If the words or generators of `basis` are not the Pauli word
+        stack of `build_basis` at the basis's own scale.
     """
+    q = basis.num_qubits
+    words = pauli_words(q)
+    scale = 1.0 / np.sqrt(2**q) if basis.normalized else 1.0
+    expected = _word_stack(words, scale)
     F = basis.generators
-    # Projection denominators; all equal, but computing them keeps the
-    # extraction correct for the unnormalized helper basis.
-    denom = np.einsum("lab,lba->l", F, F).real
-    prod = np.einsum("jab,kbc->jkac", F, F)
-    prod_t = prod.transpose(1, 0, 2, 3)  # F_k F_j as (j, k) array
-    # f_jkl = -i Tr([F_j, F_k] F_l) / denom_l, g analogous without the -i.
-    f_all = -1j * np.einsum("jkab,lba->jkl", prod - prod_t, F) / denom
-    g_all = np.einsum("jkab,lba->jkl", prod + prod_t, F) / denom
+    same = list(basis.words) == words and F.shape == expected.shape
+    if not same or np.abs(F - expected).max() > 1e-12:
+        raise ValueError(f"basis is not the {q}-qubit Pauli word stack at its own scale")
+    # Phases multiply across qubits, so the phase table of all 4**q words
+    # (identity first) is a Kronecker power of _PHASE.
+    phase = _PHASE
+    for _ in range(q - 1):
+        phase = np.kron(phase, _PHASE)
+    phase = phase[1:, 1:]
+    codes = np.arange(1, len(words) + 1)
+    word = (codes[:, None] ^ codes) - 1
+    f = 2 * scale * phase.imag
+    g = 2 * scale * phase.real
+    g[word < 0] = 0.0  # the identity part of {F_j, F_j} is not in g
 
-    def _sparse(name, t):
-        imag_res = np.max(np.abs(t.imag))
-        if imag_res >= 1e-10:
-            raise ValueError(
-                f"{name} constants have imaginary residue {imag_res:.3e}; "
-                "basis is not a valid Hermitian generator set"
-            )
-        ind = np.argwhere(np.abs(t.real) > cutoff)  # sorted by (j, k, l)
-        return ind, t.real[tuple(ind.T)]
+    def _coo(t):
+        j, k = np.nonzero(t)  # row-major, so sorted by (j, k, l)
+        return np.stack([j, k, word[j, k]], axis=1), t[j, k]
 
-    fi, fv = _sparse("f", f_all)
-    gi, gv = _sparse("g", g_all)
-    return StructureTensors(n=basis.n, f_ind=fi, f_val=fv, g_ind=gi, g_val=gv, cutoff=cutoff)
+    fi, fv = _coo(f)
+    gi, gv = _coo(g)
+    return StructureTensors(n=len(words), f_ind=fi, f_val=fv, g_ind=gi, g_val=gv)
 
 
 @dataclass

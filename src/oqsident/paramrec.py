@@ -60,7 +60,7 @@ class GammaIndexMap:
 
     def sym_pairs(self):
         """Upper-triangle pairs in row-major order."""
-        return [(j, k) for j in range(self.n) for k in range(j, self.n)]
+        return [(int(j), int(k)) for j, k in zip(*np.triu_indices(self.n))]
 
     def sym_index(self, j, k):
         if j > k:
@@ -69,13 +69,13 @@ class GammaIndexMap:
         return j * self.n - j * (j - 1) // 2 + (k - j)
 
     def pack_sym(self, mat):
-        return np.array([mat[j, k] for j, k in self.sym_pairs()])
+        return np.asarray(mat)[np.triu_indices(self.n)]
 
     def expand_sym(self, vec):
+        rows, cols = np.triu_indices(self.n)
         out = np.zeros((self.n, self.n))
-        for s, (j, k) in enumerate(self.sym_pairs()):
-            out[j, k] = vec[s]
-            out[k, j] = vec[s]
+        out[rows, cols] = vec
+        out[cols, rows] = vec
         return out
 
 
@@ -84,10 +84,10 @@ class ReconstructionMatrices:
     """Linear maps from generator parameters to drift data.
 
     T2 and M are built for general (Hermitian gamma) recovery, T3 for the
-    real-symmetric route; unused blocks stay None.  The structure tensors
-    are kept for residual evaluation.  The factors of M depend only on the
-    basis; each is computed on first use and kept, so M must not be
-    replaced afterwards.
+    real-symmetric route; unused blocks stay None.  T2 is a view of M's
+    upper-right block, not a copy.  The structure tensors are kept for
+    residual evaluation.  The factors of M depend only on the basis; each
+    is computed on first use and kept, so M must not be replaced afterwards.
     """
 
     n: int
@@ -126,19 +126,19 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
     mats = ReconstructionMatrices(n=n, N=dim, T1=T1, tensors=tensors)
 
     if general:
+        # T2 is M's upper-right block, written in place: its rows split as
+        # (j, k) and its columns as (l, m), so the 4-index reshape is a view.
+        mats.M = M = np.zeros((n * n + n, n + n * n), dtype=complex)
+        mats.T2 = M[: n * n, n:]
+        T2 = mats.T2.reshape((n,) * 4)
         # X[j, k, l, m] = sum_p z_lpk f_jmp; f is real, so the conj(z) term
         # of D^{(j,k)}_lm is conj(X) with l and m swapped.
         X = np.tensordot(f, tensors.z_dense(), axes=([2], [1])).transpose(0, 3, 2, 1)
-        T2 = np.conjugate(X.swapaxes(2, 3), out=np.empty((n,) * 4, dtype=complex))
+        np.conjugate(X.swapaxes(2, 3), out=T2)
         T2 += X
         T2 *= -0.25
-        T2 = T2.reshape(n * n, n * n)
-        M = np.zeros((n * n + n, n + n * n), dtype=complex)
         M[: n * n, :n] = T1
-        M[: n * n, n:] = T2
         M[n * n :, n:] = -(1j / dim) * T1.T
-        mats.T2 = T2
-        mats.M = M
 
     if symmetric:
         # Y[j, k, l, m] = sum_p f_jmp f_klp = 2 Dt^{(j,k)}_lm.  Column (l, m)

@@ -231,6 +231,31 @@ def test_accessible_set_two_axes_close_everything():
         accessible_set(tensors, measured={7}, delta={0})
 
 
+def test_accessible_set_matches_brute_force_two_qubits():
+    tensors = structure_constants(build_basis(2))
+    f = tensors.f_dense()
+    n = tensors.n
+    rng = np.random.default_rng(217)
+    cases = [({2}, {0}), ({0}, {0, 4}), ({14}, set(range(n)))]
+    cases += [
+        (set(rng.choice(n, size=2, replace=False)), set(rng.choice(n, size=3, replace=False)))
+        for _ in range(8)
+    ]
+    for measured, delta in cases:
+        current, iterations = set(measured), 0
+        while True:
+            additions = {
+                l for g in current for h in delta for l in range(n) if f[g, h, l] != 0
+            } - current
+            if not additions:
+                break
+            current |= additions
+            iterations += 1
+        acc = accessible_set(tensors, measured=measured, delta=delta)
+        assert acc.indices == tuple(sorted(current))
+        assert acc.iterations == iterations
+
+
 def test_pulse_family_check_clauses():
     ok, notes = pulse_family_check([])
     assert not ok and notes == ["pulse family degenerate (empty)"]

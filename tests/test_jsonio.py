@@ -66,6 +66,7 @@ def test_basis_round_trip(one_qubit, tmp_path):
     assert np.array_equal(basis2.identity, basis.identity)
     assert basis2.normalized == basis.normalized
     basis2.validate()
+    structure_constants(basis2)  # a read-back basis is a valid Pauli word stack
     assert np.array_equal(tensors2.f_ind, tensors.f_ind)
     assert np.array_equal(tensors2.f_val, tensors.f_val)
     assert np.array_equal(tensors2.g_ind, tensors.g_ind)

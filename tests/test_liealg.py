@@ -15,6 +15,35 @@ def levi_civita():
     return eps
 
 
+def trace_projection(basis):
+    """Reference structure constants by trace projection onto each word.
+
+    f_jkl = -i Tr([F_j, F_k] F_l) / Tr(F_l F_l) and g likewise from the
+    anticommutator, with exact zeros dropped, in the COO layout of
+    StructureTensors.
+    """
+    F = basis.generators
+    denom = np.einsum("lab,lba->l", F, F).real
+    prod = np.einsum("jab,kbc->jkac", F, F)
+    prod_t = prod.transpose(1, 0, 2, 3)
+    f_all = -1j * np.einsum("jkab,lba->jkl", prod - prod_t, F) / denom
+    g_all = np.einsum("jkab,lba->jkl", prod + prod_t, F) / denom
+    out = []
+    for t in (f_all, g_all):
+        assert np.max(np.abs(t.imag)) < 1e-10
+        ind = np.argwhere(np.abs(t.real) > 1e-12)
+        out += [ind, t.real[tuple(ind.T)]]
+    return out
+
+
+def dense_row(ind, val, n, j, k):
+    """Row t[j, k, :] of a COO tensor, without the dense n^3 array."""
+    row = np.zeros(n)
+    sel = (ind[:, 0] == j) & (ind[:, 1] == k)
+    row[ind[sel, 2]] = val[sel]
+    return row
+
+
 def test_word_order_two_qubits():
     words = pauli_words(2)
     assert words[:6] == ["Ix", "Iy", "Iz", "xI", "xx", "xy"]
@@ -77,21 +106,41 @@ def test_reconstruction_identities_one_qubit():
             assert np.allclose(anti, expect, atol=1e-12)
 
 
-def test_reconstruction_identities_two_qubits_sampled():
-    basis = build_basis(2)
-    tensors = structure_constants(basis)
+@pytest.mark.parametrize("num_qubits", [2, 3, 4])
+def test_reconstruction_identities_sampled(num_qubits):
+    basis = build_basis(num_qubits)
+    t = structure_constants(basis)
     F = basis.generators
-    f = tensors.f_dense()
-    g = tensors.g_dense()
-    N = basis.dim
+    n, N = basis.n, basis.dim
     rng = np.random.default_rng(42)
-    for _ in range(40):
-        j, k = rng.integers(0, basis.n, size=2)
+    # plus one diagonal pair, whose anticommutator is pure identity
+    pairs = [tuple(rng.integers(0, n, size=2)) for _ in range(40)] + [(3, 3)]
+    for j, k in pairs:
+        f_jk = dense_row(t.f_ind, t.f_val, n, j, k)
+        g_jk = dense_row(t.g_ind, t.g_val, n, j, k)
         comm = F[j] @ F[k] - F[k] @ F[j]
-        assert np.allclose(comm, 1j * np.einsum("l,lab->ab", f[j, k], F), atol=1e-12)
+        assert np.allclose(comm, 1j * np.einsum("l,lab->ab", f_jk, F), atol=1e-12)
         anti = F[j] @ F[k] + F[k] @ F[j]
-        expect = (2.0 / N) * (j == k) * np.eye(N) + np.einsum("l,lab->ab", g[j, k], F)
+        expect = (2.0 / N) * (j == k) * np.eye(N) + np.einsum("l,lab->ab", g_jk, F)
         assert np.allclose(anti, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_product_rule_matches_trace_projection(num_qubits, normalized):
+    basis = build_basis(num_qubits, normalized=normalized)
+    t = structure_constants(basis)
+    f_ind, f_val, g_ind, g_val = trace_projection(basis)
+    assert np.array_equal(t.f_ind, f_ind)
+    assert np.array_equal(t.g_ind, g_ind)
+    if num_qubits <= 2:
+        assert np.array_equal(t.f_val, f_val)
+        assert np.array_equal(t.g_val, g_val)
+    else:
+        # the projection sums N products of 1/sqrt(N)-scaled entries; the
+        # product rule rounds 2/sqrt(N) once
+        assert np.max(np.abs(t.f_val - f_val)) <= 2.3e-16
+        assert np.max(np.abs(t.g_val - g_val)) <= 2.3e-16
 
 
 def test_tensor_symmetries_two_qubits():
@@ -113,16 +162,6 @@ def test_sparsity_one_per_pair():
         assert rep.max_f <= 1
         assert rep.max_g <= 1
         assert rep.one_per_pair
-
-
-def test_f_lookup_matches_dense():
-    tensors = structure_constants(build_basis(2))
-    table = tensors.f_lookup()
-    f = tensors.f_dense()
-    for (j, k), entries in table.items():
-        for l, v in entries:
-            assert f[j, k, l] == v
-    assert sum(len(v) for v in table.values()) == len(tensors.f_val)
 
 
 def test_broken_basis_rejected():
@@ -149,3 +188,5 @@ def test_validate_catches_scale_error():
     basis.normalized = True  # lie about the scaling
     with pytest.raises(ValueError):
         basis.validate()
+    with pytest.raises(ValueError):
+        structure_constants(basis)

@@ -103,6 +103,13 @@ def test_build_matches_einsum_formulas(num_qubits):
     assert np.array_equal(mats.T3, T3)
 
 
+def test_t2_is_a_view_of_m():
+    _, _, mats = setup(2, symmetric=False)
+    n = mats.n
+    assert np.shares_memory(mats.T2, mats.M)
+    assert np.array_equal(mats.T2, mats.M[: n * n, n:])
+
+
 def test_general_factors_are_lazy_and_reused():
     basis, tensors, mats = setup(2, symmetric=False)
     assert "M_singular_values" not in vars(mats)
