@@ -51,7 +51,6 @@ from .liealg import (
     verify_sparsity,
 )
 from .paramrec import (
-    GammaIndexMap,
     ReconstructionMatrices,
     RecoveredParams,
     build_reconstruction_matrices,

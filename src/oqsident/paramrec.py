@@ -12,12 +12,23 @@ with row-major vectorization vec(A)[(j, k)] = A[j, k] at row j*n + k and
     D^{(j,k)}_lm        = (1/4) sum_p (z_lpk f_jmp + conj(z_mpk) f_jlp)
 
 so the stacked map M = [[T1, T2], [0, -(i/N) T1^T]] sends (theta,
-vec(gamma)) to (vec(A), beta).  The sign of the lower-right block is
-fixed by the round-trip identity beta_j = (i/N) sum_kl gamma_kl f_jkl
-together with the total antisymmetry of f; the test suite pins it
-against the independently assembled system matrices.  Recovery inverts
-this map; the residual checks of recovered parameters evaluate it
-forward through `gksl.drift`, its one implementation.
+vec(gamma)) to (vec(A), beta).  M is never formed: `gksl.drift` evaluates
+it forward for the residual checks of recovered parameters, and general
+mode inverts it in closed form through the process matrix, the
+Gorini-Kossakowski-Sudarshan decomposition of the Liouvillian (Wolf,
+Eisert, Cubitt & Cirac, PRL 101, 150402, 2008).  With the orthonormal
+stack G_0 = I/sqrt(N), G_j = F_j, (A, beta) is the Pauli transfer matrix
+R = [[0, 0], [sqrt(N) beta, A]] of the Liouvillian L = U R U^H, where the
+columns of U are the column-stacked vec(G_i).  The coefficients c_ij =
+<G_j^T kron G_i, L> of L rho = sum_ij c_ij G_i rho G_j then give
+
+    gamma   = c[1:, 1:]
+    theta_j = Tr(F_j H) = -Im(c_j0) / sqrt(N),
+
+with H = (K^H - K)/(2i) and K = c_00/(2N) I + sum_i c_i0 G_i / sqrt(N).
+M is invertible for every basis, so the route has no fallback and no
+threshold; its singular values are known in closed form
+(`_m_singular_values`).
 
 For real symmetric gamma the dissipative block simplifies to
 
@@ -28,89 +39,40 @@ beta vanishes, and A splits as A_l = (A - A^T)/2, A_d = (A + A^T)/2.
 Merging the columns of the Dt-based matrix over symmetric index pairs
 yields T3 of shape (n^2, n(n+1)/2), acting on the packed upper triangle
 of gamma (row-major pair order (0,0), (0,1), ..., (1,1), ...).
-
-Recovery tries the richest route available and degrades explicitly:
-general mode solves the full M system when it is well conditioned, else
-falls back to a minimum-norm gamma from beta alone; symmetric mode works
-from A only, with the beta fallback as a last resort for gamma.  Every
-result names its branch; nothing is silently approximated.
+Symmetric mode works from A only, by least squares through T3 and T1
+with range checks, and degrades explicitly: the beta fallback is its last
+resort for gamma.  Every result names its branch; nothing is silently
+approximated.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .gksl import drift
-
-
-@dataclass
-class GammaIndexMap:
-    """Row-major index maps between matrix pairs and vector positions."""
-
-    n: int
-
-    def pair(self, r):
-        """Full vectorization: row r -> (j, k) with r = j*n + k."""
-        return divmod(r, self.n)
-
-    def index(self, j, k):
-        return j * self.n + k
-
-    def sym_pairs(self):
-        """Upper-triangle pairs in row-major order."""
-        return [(int(j), int(k)) for j, k in zip(*np.triu_indices(self.n))]
-
-    def sym_index(self, j, k):
-        if j > k:
-            j, k = k, j
-        # offset of row j in the packed upper triangle
-        return j * self.n - j * (j - 1) // 2 + (k - j)
-
-    def pack_sym(self, mat):
-        return np.asarray(mat)[np.triu_indices(self.n)]
-
-    def expand_sym(self, vec):
-        rows, cols = np.triu_indices(self.n)
-        out = np.zeros((self.n, self.n))
-        out[rows, cols] = vec
-        out[cols, rows] = vec
-        return out
+from .liealg import _word_stack, pauli_words
 
 
 @dataclass
 class ReconstructionMatrices:
-    """Linear maps from generator parameters to drift data.
+    """Per-basis data of the two recovery routes.
 
-    T2 and M are built for general (Hermitian gamma) recovery, T3 for the
-    real-symmetric route; unused blocks stay None.  T2 is a view of M's
-    upper-right block, not a copy.  The structure tensors are kept for
-    residual evaluation.  The factors of M depend only on the basis; each
-    is computed on first use and kept, so M must not be replaced afterwards.
+    G, the (N^2, N, N) stack [I/sqrt(N), F_1, ..., F_n], is what the
+    general route needs; T3 is the real-symmetric route's block.  Unused
+    ones stay None.  T1 serves the symmetric route, and the structure
+    tensors the residual checks of both.
     """
 
     n: int
     N: int
     T1: np.ndarray
     tensors: object
-    T2: np.ndarray = None
-    M: np.ndarray = None
+    G: np.ndarray = None
     T3: np.ndarray = None
-
-    @cached_property
-    def M_singular_values(self):
-        """Singular values of M, largest first."""
-        return np.linalg.svd(self.M, compute_uv=False)
-
-    @cached_property
-    def M_lu(self):
-        """LU factorization of M as returned by scipy.linalg.lu_factor."""
-        return lu_factor(self.M)
 
 
 def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
-    """Assemble T1 and, per mode, T2/M and T3 from structure constants.
+    """Assemble T1 and, per mode, G and T3 from structure constants.
 
     Parameters
     ----------
@@ -126,19 +88,8 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
     mats = ReconstructionMatrices(n=n, N=dim, T1=T1, tensors=tensors)
 
     if general:
-        # T2 is M's upper-right block, written in place: its rows split as
-        # (j, k) and its columns as (l, m), so the 4-index reshape is a view.
-        mats.M = M = np.zeros((n * n + n, n + n * n), dtype=complex)
-        mats.T2 = M[: n * n, n:]
-        T2 = mats.T2.reshape((n,) * 4)
-        # X[j, k, l, m] = sum_p z_lpk f_jmp; f is real, so the conj(z) term
-        # of D^{(j,k)}_lm is conj(X) with l and m swapped.
-        X = np.tensordot(f, tensors.z_dense(), axes=([2], [1])).transpose(0, 3, 2, 1)
-        np.conjugate(X.swapaxes(2, 3), out=T2)
-        T2 += X
-        T2 *= -0.25
-        M[: n * n, :n] = T1
-        M[n * n :, n:] = -(1j / dim) * T1.T
+        q = int(dim).bit_length() - 1
+        mats.G = _word_stack(["I" * q] + pauli_words(q), 1.0 / np.sqrt(dim))
 
     if symmetric:
         # Y[j, k, l, m] = sum_p f_jmp f_klp = 2 Dt^{(j,k)}_lm.  Column (l, m)
@@ -159,12 +110,12 @@ class RecoveredParams:
     """Outcome of a reconstruction attempt.
 
     status is one of 'full', 'gamma-only', 'theta-only',
-    'theta-and-beta-gamma', 'not-recoverable'.  Residuals are reassembly
-    errors of the recovered parameters against the given drift data;
-    kappa is the 2-norm condition number of M, computed once per
-    ReconstructionMatrices and reported by every general-mode attempt;
-    hermiticity_defect measures how far the raw gamma solution was from
-    Hermitian before projection.
+    'theta-and-beta-gamma', 'not-recoverable'; general mode always
+    returns 'full'.  Residuals are reassembly errors of the recovered
+    parameters against the given drift data; kappa is the 2-norm condition
+    number of M, which general mode inverts in closed form and reports
+    from M's closed-form singular values; hermiticity_defect measures how
+    far the raw gamma solution was from Hermitian before projection.
     """
 
     status: str
@@ -193,64 +144,68 @@ def _gamma_from_beta(mats, beta, range_tol):
     return 0.5 * (g + g.conj().T), resid
 
 
-def reconstruct_general(A, beta, mats, cond_cap=1e12, range_tol=1e-8):
+def _m_singular_values(N):
+    """Distinct singular values of M and their multiplicities, closed form.
+
+    For y = (theta, gamma), |M y|^2 = |c|_F^2 - (N - 1)|beta|^2: L and R
+    have the same Frobenius norm, and R holds sqrt(N) beta.  Here
+    c_ij = gamma_ij (i, j >= 1), c_00 = -tr(gamma) and c_i0, c_0i =
+    sqrt(N)(-/+ i theta_i - s_i/2) with s_i = Tr(F_i sum_jk gamma_jk F_k F_j),
+    so theta enters only as 2N |theta|^2 (sqrt(2N), n-fold), the diagonal
+    of gamma as |diag(gamma)|^2 + tr(gamma)^2 (N once, else 1), and the
+    entries gamma_jk with F_j F_k proportional to F_l, for each l, through
+    s_l and beta_l alone.  That 2x2 block gives an n-fold pair with
+    s_-^2 + s_+^2 = N^2/2 - 1 + 2/N and s_- s_+ = sqrt(N/2); every other
+    singular value is 1.
+    """
+    n = N * N - 1
+    t = N * N / 2 - 1 + 2 / N
+    d = np.sqrt(t * t - 2 * N)
+    values = np.array([N, np.sqrt(2 * N), np.sqrt((t + d) / 2), np.sqrt((t - d) / 2), 1.0])
+    return values, np.array([1, n, n, n, n * n - 2 * n - 1])
+
+
+def reconstruct_general(A, beta, mats):
     """Recover (theta, gamma) with Hermitian gamma from (A, beta).
 
-    Solves the stacked system through M when cond(M) stays below
-    cond_cap.  Otherwise attempts the degraded route: gamma alone from
-    beta (minimum-norm), provided beta lies in the range of the beta
-    block.  The raw gamma solution is projected onto Hermitian matrices
-    and the projection distance reported.
+    Inverts M in closed form through the process matrix c (module
+    docstring): two contractions of the Liouvillian with conj(G), no
+    solve.  gamma is the Hermitian part of c[1:, 1:], whose distance from
+    Hermitian is reported; real (A, beta) make c Hermitian up to rounding.
     """
-    if mats.M is None:
+    if mats.G is None:
         raise ValueError("mats was built without the general-mode blocks")
-    n = mats.n
+    n, N, G = mats.n, mats.N, mats.G
     A = np.asarray(A, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    rhs = np.concatenate([A.reshape(-1), beta]).astype(complex)
-
-    s = mats.M_singular_values
-    kappa = float(s[0] / s[-1])
-    if np.isfinite(kappa) and kappa < cond_cap:
-        y = lu_solve(mats.M_lu, rhs)
-        theta_raw = y[:n]
-        theta = theta_raw.real
-        g = y[n:].reshape(n, n)
-        defect = float(np.linalg.norm(g - g.conj().T) / 2.0)
-        gamma = 0.5 * (g + g.conj().T)
-        A_l_chk, A_d_chk, beta_chk = drift(mats.tensors, mats.N, theta, gamma)
-        notes = []
-        im = float(np.max(np.abs(theta_raw.imag)))
-        if im > range_tol:
-            notes.append(f"theta solution had imaginary residue {im:.3e}")
-        return RecoveredParams(
-            status="full",
-            theta=theta,
-            gamma=gamma,
-            residual_A=float(np.linalg.norm(A_l_chk + A_d_chk.real - A)),
-            residual_beta=float(np.linalg.norm(beta_chk.real - beta)),
-            kappa=kappa,
-            hermiticity_defect=defect,
-            notes=notes,
+    if A.shape != (n, n) or beta.shape != (n,):
+        raise ValueError(
+            f"expected A of shape {(n, n)} and beta of shape {(n,)}, "
+            f"got {A.shape} and {beta.shape}"
         )
-
-    notes = [f"M condition number {kappa:.3e} exceeds cap {cond_cap:.1e}"]
-    if np.linalg.matrix_rank(mats.T1) == n:
-        gamma, resid = _gamma_from_beta(mats, beta, range_tol)
-        if gamma is not None:
-            beta_chk = drift(mats.tensors, mats.N, np.zeros(n), gamma)[2].real
-            notes.append("gamma is the minimum-norm solution from beta alone")
-            return RecoveredParams(
-                status="gamma-only",
-                gamma=gamma,
-                residual_beta=float(np.linalg.norm(beta_chk - beta)),
-                kappa=kappa,
-                notes=notes,
-            )
-        notes.append(f"beta outside the recoverable range (residual {resid:.3e})")
-    else:
-        notes.append("T1 is rank deficient")
-    return RecoveredParams(status="not-recoverable", kappa=kappa, notes=notes)
+    # U's columns are the column-stacked vec(G_i); L = U R U^H.
+    U = G.transpose(0, 2, 1).reshape(N * N, N * N).T
+    R = np.zeros((N * N, N * N))
+    R[1:, 0] = np.sqrt(N) * beta
+    R[1:, 1:] = A
+    L = (U @ R @ U.conj().T).reshape((N,) * 4)
+    # c_ij = sum_pqrs conj(G_j[r, p] G_i[q, s]) L[p, q, r, s]
+    Gc = G.conj()
+    c = np.tensordot(np.tensordot(L, Gc, axes=([1, 3], [1, 2])), Gc, axes=([0, 1], [2, 1]))
+    theta = -c[1:, 0].imag / np.sqrt(N)
+    g = c[1:, 1:]
+    gamma = 0.5 * (g + g.conj().T)
+    A_l_chk, A_d_chk, beta_chk = drift(mats.tensors, N, theta, gamma)
+    values, _ = _m_singular_values(N)
+    return RecoveredParams(
+        status="full",
+        theta=theta,
+        gamma=gamma,
+        residual_A=float(np.linalg.norm(A_l_chk + A_d_chk.real - A)),
+        residual_beta=float(np.linalg.norm(beta_chk.real - beta)),
+        kappa=float(values.max() / values.min()),
+        hermiticity_defect=float(np.linalg.norm(g - g.conj().T) / 2.0),
+    )
 
 
 def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
@@ -266,7 +221,6 @@ def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
     if mats.T3 is None:
         raise ValueError("mats was built without the symmetric-mode block")
     n = mats.n
-    idx = GammaIndexMap(n)
     A = np.asarray(A, dtype=float)
     A_d = 0.5 * (A + A.T)
     A_l = 0.5 * (A - A.T)
@@ -277,7 +231,10 @@ def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
     if rank == mats.T3.shape[1]:
         resid_d = np.linalg.norm(mats.T3 @ sol - vec_d)
         if resid_d <= range_tol * (1.0 + np.linalg.norm(vec_d)):
-            gamma = idx.expand_sym(sol)
+            rows, cols = np.triu_indices(n)
+            gamma = np.zeros((n, n))
+            gamma[rows, cols] = sol
+            gamma[cols, rows] = sol
 
     theta = None
     vec_l = A_l.reshape(-1)
@@ -347,9 +304,10 @@ def error_bound(mats, delta_M_norm, A, delta_A_norm, beta=None):
     using spectral norms, with ||Mt^{-1}|| bounded through
     ||M^{-1}|| / (1 - kappa ||dM||/||M||).  Requires
     kappa(M) ||dM||/||M|| < 1; otherwise the bound is vacuous and +inf
-    is returned.
+    is returned.  ||M|| and ||M^{-1}|| come from M's closed-form singular
+    values.
     """
-    if mats.M is None:
+    if mats.G is None:
         raise ValueError("mats was built without the general-mode blocks")
     n = mats.n
     A = np.asarray(A, dtype=float)
@@ -357,9 +315,9 @@ def error_bound(mats, delta_M_norm, A, delta_A_norm, beta=None):
         beta = np.zeros(n)
     rhs_norm = np.linalg.norm(np.concatenate([A.reshape(-1), np.asarray(beta)]))
 
-    s = mats.M_singular_values
-    norm_M = s[0]
-    inv_norm = 1.0 / s[-1]
+    values, _ = _m_singular_values(mats.N)
+    norm_M = values.max()
+    inv_norm = 1.0 / values.min()
     kappa = norm_M * inv_norm
 
     if delta_M_norm == 0:

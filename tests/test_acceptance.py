@@ -37,8 +37,8 @@ from oqsident import (
     verify_sparsity,
 )
 from oqsident.cli import _two_qubit_demo_params
-from oqsident.paramrec import GammaIndexMap
 from oqsident.simulate import SamplingSchedule
+from oracles import stacked_map
 
 
 def random_psd(rng, n, scale=0.4, complex_=True):
@@ -191,9 +191,10 @@ def test_criterion_05_symmetric_round_trip():
 
 
 def test_criterion_06_general_round_trip():
-    """100 random one-qubit instances with Hermitian gamma: the stacked
-    solve recovers (theta, gamma) to 1e-8 whenever cond(M) < 1e10, and
-    the condition number is computed and reported for every instance."""
+    """100 random one-qubit instances with Hermitian gamma: the inverse of
+    the stacked map M recovers (theta, gamma) to 1e-8 whenever
+    cond(M) < 1e10, and the condition number is computed and reported for
+    every instance."""
     basis = build_basis(1)
     tensors = structure_constants(basis)
     mats = build_reconstruction_matrices(tensors, basis.dim)
@@ -371,10 +372,12 @@ def test_criterion_10_simulator_physicality():
 
 def test_criterion_11_error_bound_monte_carlo():
     """100 perturbed recovery instances: the observed parameter error
-    never exceeds the computed forward bound."""
+    never exceeds the computed forward bound.  M is the dense stacked map
+    of the test oracle; the package only inverts it in closed form."""
     basis = build_basis(1)
     tensors = structure_constants(basis)
     mats = build_reconstruction_matrices(tensors, basis.dim)
+    M = stacked_map(tensors, basis.dim)
     rng = np.random.default_rng(2031)
     margins = []
     for _ in range(100):
@@ -382,16 +385,16 @@ def test_criterion_11_error_bound_monte_carlo():
         gamma = random_psd(rng, 3)
         sys = assemble_system(basis, tensors, GkslParams(theta=theta, gamma=gamma))
         rhs = np.concatenate([sys.A.reshape(-1), sys.beta]).astype(complex)
-        y = np.linalg.solve(mats.M, rhs)
+        y = np.linalg.solve(M, rhs)
 
         scale = 10.0 ** rng.uniform(-12, -6)
-        dM = rng.normal(size=mats.M.shape)
+        dM = rng.normal(size=M.shape)
         dM = scale * dM / np.linalg.norm(dM, 2)
         dr = rng.normal(size=rhs.shape[0])
         dr = scale * dr / np.linalg.norm(dr)
 
         bound = error_bound(mats, scale, sys.A, scale, beta=sys.beta)
-        yt = np.linalg.solve(mats.M + dM, rhs + dr)
+        yt = np.linalg.solve(M + dM, rhs + dr)
         observed = np.linalg.norm(y - yt)
         assert observed <= bound, f"observed {observed:.3e} > bound {bound:.3e}"
         margins.append(bound / max(observed, 1e-300))
