@@ -18,9 +18,13 @@ Four ingredient checks feed one report:
 
 The word-span computation expands only directions that are new at each
 length (a Krylov-style closure), so it is polynomial even though the
-word count it accounts for is combinatorial.  A hard cap on enumerated
-words guards pathological inputs; hitting the cap yields an explicit
-inconclusive status, never a silent truncation.
+word count it accounts for is combinatorial.  Each length applies every
+operator to the new directions in one product of the stacked operators,
+and the closure stops as soon as the span is full.  A hard cap on
+enumerated words guards pathological inputs; hitting the cap yields an
+explicit inconclusive status, never a silent truncation.  The rank tests
+take A as (n, n), each control as (n, n), seeds b as (n,) or (n, m) and C
+as (p, n) or (n,); any other shape raises ValueError naming both shapes.
 """
 
 from dataclasses import dataclass, field
@@ -55,15 +59,26 @@ def linear_rank_test(A, B, C):
     computed as the word spans of `bilinear_span_test` with no control
     matrices.  The span normalizes each new direction before deciding its
     rank, so the growth of A^k with k cannot push true directions below
-    the rank cutoff.
+    the rank cutoff.  B may be given as (n, m), (m, n) or (n,); a shape
+    that is none of these raises ValueError, as `bilinear_span_test` does
+    for A and C.
     """
-    A = np.asarray(A, dtype=float)
+    A = _square(A)
     n = A.shape[0]
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != n:
+    if B.ndim == 2 and B.shape[0] != n and B.shape[1] == n:
         B = B.T
+    if B.ndim != 2 or B.shape[0] != n:
+        raise ValueError(f"B must be ({n}, m) or (m, {n}), got shape {B.shape}")
     span = bilinear_span_test(A, [], B, C)
     return LinearRankResult(n=n, rank_obs=span.rank_obs, rank_ctrl=span.rank_ctrl)
+
+
+def _square(A):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    return A
 
 
 def _normalize_columns(V):
@@ -77,27 +92,32 @@ def _word_span(ops, seeds, dim, word_cap):
 
     Returns (rank, status, words_applied).  Status is one of
     'full-rank', 'closed', 'depth-exhausted', 'inconclusive-below-cap';
-    only the last is non-conclusive.
+    only the last is non-conclusive.  The closure stops as soon as the
+    rank reaches dim, before orthogonalizing that level's images.  Each
+    level applies every operator in one product of the (k dim, dim)
+    operator stack, formed only once the seeds fall short of full rank.
     """
     seeds = _normalize_columns(np.atleast_2d(seeds))
     if seeds.shape[1] == 0:
         return 0, "closed", 0
     U, s, _ = np.linalg.svd(seeds, full_matrices=False)
     r = int(np.sum(s > max(seeds.shape) * _EPS * s[0]))
+    if r == dim:
+        return dim, "full-rank", 0
     basis = U[:, :r]
     frontier = basis
     words = 0
+    k = len(ops)
+    stack = np.concatenate(ops)
 
     for _ in range(dim - 1):
-        if basis.shape[1] == dim:
-            return dim, "full-rank", words
-        if frontier.shape[1] == 0:
-            return basis.shape[1], "closed", words
-        cost = len(ops) * frontier.shape[1]
+        cost = k * frontier.shape[1]
         if words + cost > word_cap:
             return basis.shape[1], "inconclusive-below-cap", words
         words += cost
-        images = _normalize_columns(np.hstack([op @ frontier for op in ops]))
+        # operator-major columns: op_0 frontier, op_1 frontier, ...
+        images = (stack @ frontier).reshape(k, dim, -1).transpose(1, 0, 2)
+        images = _normalize_columns(images.reshape(dim, -1))
         if images.shape[1] == 0:
             return basis.shape[1], "closed", words
         # the rank increment is decided on the stacked matrix with the
@@ -107,6 +127,8 @@ def _word_span(ops, seeds, dim, word_cap):
         new = int(np.linalg.matrix_rank(np.hstack([basis, images]))) - basis.shape[1]
         if new <= 0:
             return basis.shape[1], "closed", words
+        if basis.shape[1] + new == dim:
+            return dim, "full-rank", words
         resid = images - basis @ (basis.T @ images)
         Ur, _, _ = np.linalg.svd(resid, full_matrices=False)
         fresh = Ur[:, :new]
@@ -116,8 +138,7 @@ def _word_span(ops, seeds, dim, word_cap):
         basis = np.hstack([basis, fresh])
         frontier = fresh
 
-    status = "full-rank" if basis.shape[1] == dim else "depth-exhausted"
-    return basis.shape[1], status, words
+    return basis.shape[1], "depth-exhausted", words
 
 
 @dataclass
@@ -145,25 +166,36 @@ def bilinear_span_test(A, N_list, b, C, word_cap=None):
     Parameters
     ----------
     A : ndarray, (n, n)
-    N_list : sequence of ndarray
+    N_list : sequence of ndarray, each (n, n)
         Control matrices; an empty sequence reduces the test to the
         linear Kalman ranks of (A, b, C).
-    b : ndarray
-        Seed vector (or matrix of seed columns) for the controllable span.
-    C : ndarray
+    b : ndarray, (n,) or (n, m)
+        Seed vector or matrix of seed columns for the controllable span.
+    C : ndarray, (p, n) or (n,)
         Output matrix; its rows seed the observable span.
     word_cap : int, optional
         Cap on enumerated operator applications per span, default 10 n^2.
+
+    Each span stops once its rank reaches n.  Raises ValueError, naming
+    the expected and actual shapes, when A is not square or a control
+    matrix, b or C does not match A.
     """
-    A = np.asarray(A, dtype=float)
+    A = _square(A)
     dim = A.shape[0]
     if word_cap is None:
         word_cap = 10 * dim * dim
     ops = [A] + [np.asarray(Nc, dtype=float) for Nc in N_list]
+    for c, op in enumerate(ops[1:]):
+        if op.shape != (dim, dim):
+            raise ValueError(f"control {c} must be ({dim}, {dim}), got shape {op.shape}")
     b = np.asarray(b, dtype=float)
-    seeds_c = b.reshape(dim, -1)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    rank_c, st_c, w_c = _word_span(ops, seeds_c, dim, word_cap)
+    if b.ndim not in (1, 2) or b.shape[0] != dim:
+        raise ValueError(f"b must be ({dim},) or ({dim}, m), got shape {b.shape}")
+    C = np.asarray(C, dtype=float)
+    if C.ndim not in (1, 2) or C.shape[-1] != dim:
+        raise ValueError(f"C must be (p, {dim}) or ({dim},), got shape {C.shape}")
+    C = np.atleast_2d(C)
+    rank_c, st_c, w_c = _word_span(ops, b.reshape(dim, -1), dim, word_cap)
     rank_o, st_o, w_o = _word_span([op.T for op in ops], C.T, dim, word_cap)
     return BilinearSpanResult(
         dim=dim,

@@ -3,12 +3,17 @@
 The word-span checker is cross-validated against a brute-force
 enumerator written here: it applies every operator word up to the depth
 bound to the seed and takes a plain matrix rank. Slow but unarguable.
+Where that is too slow (dimension 16 and up), and for the exact
+(rank, status, words) triple, it is checked against the level-by-level
+closure kept in `oracles.word_span_reference`.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqsident import (
     GkslParams,
@@ -26,7 +31,9 @@ from oqsident import (
     sampling_policy_check,
     structure_constants,
 )
+from oqsident.gksl import embed_standard_form
 from oqsident.simulate import Pulse, SamplingSchedule
+from oracles import word_span_reference
 
 
 def brute_span_rank(ops, seeds, dim):
@@ -115,6 +122,154 @@ def test_bilinear_span_word_cap():
     res = bilinear_span_test(A, N_list, b, np.eye(5), word_cap=3)
     assert res.status_ctrl == "inconclusive-below-cap"
     assert not res.conclusive
+
+
+def reference_spans(A, N_list, b, C, word_cap=None):
+    """(rank, status, words) of both spans from the reference closure."""
+    dim = A.shape[0]
+    cap = 10 * dim * dim if word_cap is None else word_cap
+    ops = [A] + list(N_list)
+    seeds = np.asarray(b, dtype=float).reshape(dim, -1)
+    return (
+        word_span_reference(ops, seeds, dim, cap),
+        word_span_reference([o.T for o in ops], np.atleast_2d(C).T, dim, cap),
+    )
+
+
+def span_triples(res):
+    return (
+        (res.rank_ctrl, res.status_ctrl, res.words_ctrl),
+        (res.rank_obs, res.status_obs, res.words_obs),
+    )
+
+
+def low_rank(rng, rows, cols, rank):
+    return rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    controls=st.integers(0, 3),
+    block=st.booleans(),
+    seed_cols=st.integers(1, 3),
+    seed_rank=st.integers(1, 3),
+    readout_rows=st.integers(1, 4),
+    readout_rank=st.integers(1, 4),
+    word_cap=st.one_of(st.none(), st.integers(1, 30)),
+)
+def test_bilinear_span_matches_reference_closure(
+    seed, dim, controls, block, seed_cols, seed_rank, readout_rows, readout_rank, word_cap
+):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim))
+    N_list = rng.normal(size=(controls, dim, dim))
+    b = low_rank(rng, dim, seed_cols, min(seed_rank, seed_cols))
+    C = low_rank(rng, readout_rows, dim, min(readout_rank, readout_rows))
+    if block:
+        # block-diagonal operators with seed and readout on the first
+        # block: both spans close inside it, below full rank
+        d1 = int(rng.integers(1, dim))
+        for op in (A, *N_list):
+            op[:d1, d1:] = 0.0
+            op[d1:, :d1] = 0.0
+        b[d1:] = 0.0
+        C[:, d1:] = 0.0
+    if seed_cols == 1:
+        b = b[:, 0]
+    res = bilinear_span_test(A, N_list, b, C, word_cap=word_cap)
+    assert span_triples(res) == reference_spans(A, N_list, b, C, word_cap)
+    if block:
+        assert res.rank_ctrl <= d1 and res.rank_obs <= d1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(1, 2),
+    hermitian=st.booleans(),
+    x0=st.sampled_from(["zero", "random", "axis"]),
+)
+def test_embedded_gksl_spans_match_reference_closure(seed, num_qubits, hermitian, x0):
+    # the systems identifiability_report(mode="controlled") builds: the
+    # standard-form embedding when beta != 0 (Hermitian gamma), else the
+    # bare system (real symmetric gamma gives beta = 0)
+    basis = build_basis(num_qubits)
+    n = basis.n
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if hermitian else 0)
+    gamma = 0.4 * m @ m.conj().T / n
+    params = GkslParams(theta=rng.normal(size=n), gamma=gamma, symmetric=not hermitian)
+    sys = assemble_system(basis, structure_constants(basis), params)
+    if x0 == "random":
+        sys.x0 = 0.1 * rng.normal(size=n)
+    elif x0 == "axis":
+        sys.x0 = np.eye(n)[rng.integers(n)]
+    if np.linalg.norm(sys.beta) > 1e-12:
+        emb = embed_standard_form(sys)
+        A, N_list, b, C = emb.A_emb, emb.N_list_emb, emb.x0_emb, emb.C_emb
+    else:  # a zero seed here spans nothing: rank 0, closed
+        A, N_list, b, C = sys.A, sys.N_list, sys.x0, sys.C
+    res = bilinear_span_test(A, N_list, b, C)
+    assert span_triples(res) == reference_spans(A, N_list, b, C)
+
+
+_SPAN_SHAPE_CASES = {
+    "A-not-square": (dict(A=np.ones((4, 5))), r"A must be square, got shape \(4, 5\)"),
+    "control": (
+        dict(N_list=[np.ones((4, 4)), np.eye(3)]),
+        r"control 1 must be \(4, 4\), got shape \(3, 3\)",
+    ),
+    # a length-2n b must not pass as two interleaved seed columns
+    "b-length-2n": (dict(b=np.ones(8)), r"b must be \(4,\) or \(4, m\), got shape \(8,\)"),
+    "b-rows": (dict(b=np.ones((2, 4))), r"b must be .*got shape \(2, 4\)"),
+    "C-columns": (
+        dict(C=np.ones((2, 3))),
+        r"C must be \(p, 4\) or \(4,\), got shape \(2, 3\)",
+    ),
+    "C-vector": (dict(C=np.ones(5)), r"C must be .*got shape \(5,\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPAN_SHAPE_CASES))
+def test_bilinear_span_rejects_wrong_shape(case):
+    args = dict(A=np.eye(4), N_list=np.ones((1, 4, 4)), b=np.ones(4), C=np.eye(4))
+    override, message = _SPAN_SHAPE_CASES[case]
+    args.update(override)
+    with pytest.raises(ValueError, match=message):
+        bilinear_span_test(**args)
+
+
+_LINEAR_SHAPE_CASES = {
+    "A-not-square": (dict(A=np.ones((4, 3))), r"A must be square, got shape \(4, 3\)"),
+    "B": (dict(B=np.ones((3, 8))), r"B must be \(4, m\) or \(m, 4\), got shape \(3, 8\)"),
+    "C-columns": (
+        dict(C=np.eye(4, 3)),
+        r"C must be \(p, 4\) or \(4,\), got shape \(4, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINEAR_SHAPE_CASES))
+def test_linear_rank_rejects_wrong_shape(case):
+    args = dict(A=np.diag([1.0, 2.0, 3.0, 4.0]), B=np.ones((4, 1)), C=np.eye(4))
+    override, message = _LINEAR_SHAPE_CASES[case]
+    args.update(override)
+    with pytest.raises(ValueError, match=message):
+        linear_rank_test(**args)
+
+
+def test_rank_tests_accept_documented_shapes():
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    # B given as (n, m), (m, n) or (n,) reads as the same columns
+    col = linear_rank_test(A, np.ones((4, 1)), np.eye(4))
+    assert linear_rank_test(A, np.ones((1, 4)), np.eye(4)) == col
+    assert linear_rank_test(A, np.ones(4), np.eye(4)) == col
+    assert col.rank_ctrl == 4
+    # seed columns (n, m) and a single readout row (n,)
+    res = bilinear_span_test(A, [], np.eye(4)[:, :2], np.ones(4))
+    assert res.dim == 4 and res.rank_obs == 4
 
 
 def test_depolarizing_embedded_span_is_rank_deficient():
@@ -320,6 +475,54 @@ def test_report_controlled_zero_amplitude_fails():
     assert rep.verdict is False
     assert rep.pulses_ok is False
     assert "pulse family degenerate (zero amplitude)" in rep.clauses
+
+
+def _random_hermitian_system(num_qubits, seed):
+    basis = build_basis(num_qubits)
+    n = basis.n
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    params = GkslParams(theta=rng.normal(size=n), gamma=0.4 * m @ m.conj().T / n)
+    return assemble_system(basis, structure_constants(basis), params)
+
+
+@pytest.mark.parametrize("num_qubits", [2, 3])
+def test_report_controlled_multi_qubit_full(num_qubits):
+    sys = _random_hermitian_system(num_qubits, seed=40 + num_qubits)
+    assert np.linalg.norm(sys.beta) > 1e-3
+    fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
+    rep = identifiability_report(sys, mode="controlled", pulses=fam)
+    dim = sys.n + 1  # embedded: 16 at 2 qubits, 64 at 3
+    assert rep.required_rank == dim == 4**num_qubits
+    assert rep.rank_ctrl == dim and rep.rank_obs == dim
+    assert rep.verdict is True and not rep.inconclusive
+    assert rep.clauses == []
+
+
+def test_controlled_two_qubit_first_qubit_span_closes():
+    # drift and controls act on the first qubit only (words xI, yI, zI):
+    # the coherence vector splits into the affine block {xI, yI, zI, 1}
+    # and three copies of the first-qubit representation (second symbol
+    # x, y or z); a generic seed spans 4 + 3 * 3 = 13 of 16 directions
+    basis = build_basis(2)
+    n = basis.n
+    first = [3, 7, 11]
+    assert [basis.words[i] for i in first] == ["xI", "yI", "zI"]
+    rng = np.random.default_rng(7)
+    theta = np.zeros(n)
+    theta[first] = rng.normal(size=3)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    gamma = np.zeros((n, n), dtype=complex)
+    gamma[np.ix_(first, first)] = 0.4 * m @ m.conj().T / 3
+    sys = assemble_system(basis, structure_constants(basis), GkslParams(theta=theta, gamma=gamma))
+    sys.x0 = 0.1 * rng.normal(size=n)
+    emb = embed_standard_form(sys)
+    N_list = emb.N_list_emb[first]
+    res = bilinear_span_test(emb.A_emb, N_list, emb.x0_emb, emb.C_emb)
+    assert span_triples(res) == reference_spans(emb.A_emb, N_list, emb.x0_emb, emb.C_emb)
+    assert (res.rank_ctrl, res.status_ctrl) == (13, "closed")
+    assert (res.rank_obs, res.status_obs) == (16, "full-rank")
+    assert not res.full and res.conclusive
 
 
 def test_report_autonomous_golden_passes():
