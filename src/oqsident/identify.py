@@ -399,6 +399,17 @@ class IdentifiabilityReport:
     clauses: list = field(default_factory=list)
 
 
+def _affine_seed(b, n):
+    """Embedded seed: an (n,) or (n, m) b gains a last row of ones, an
+    (n + 1,) or (n + 1, m) b is already embedded."""
+    if b.ndim not in (1, 2) or b.shape[0] not in (n, n + 1):
+        raise ValueError(
+            f"b must be ({n},), ({n}, m), ({n + 1},) or ({n + 1}, m) on an affine "
+            f"system, got shape {b.shape}"
+        )
+    return b if b.shape[0] == n + 1 else np.concatenate([b, np.ones((1,) + b.shape[1:])])
+
+
 def identifiability_report(
     system, mode="autonomous", schedule=None, pulses=None, b=None, word_cap=None
 ):
@@ -451,8 +462,7 @@ def identifiability_report(
             if b is None:
                 seed = emb.x0_emb
             else:
-                b = np.asarray(b, dtype=float)
-                seed = b if len(b) == system.n + 1 else np.concatenate([b, [1.0]])
+                seed = _affine_seed(np.asarray(b, dtype=float), system.n)
         else:
             A, N_list, C = system.A, system.N_list, system.C
             seed = system.x0 if b is None else np.asarray(b, dtype=float)

@@ -131,13 +131,34 @@ def _states_from_record(record, order, C):
     return X.T, C
 
 
+def _frame_weights(record, X0, C):
+    """Weights w_k = 1 / hypot(eps |x(kT)|, sigma_x) of the frame equations.
+
+    Rounding in a state is relative to its norm, and output noise of the
+    stated record.meta["noise_sigma"] reaches a state recovered from y = C x
+    as sigma_x = sigma |C^+|_2 (0 for snapshots).  Without a stated
+    noise_sigma, and for a zero scale, the weight is 1.  Dividing by the
+    largest weight makes uniform weights exactly 1.
+    """
+    sigma = record.meta.get("noise_sigma")
+    if sigma is None:
+        return np.ones(X0.shape[1])
+    sigma_x = 0.0
+    if record.x is None and sigma > 0:
+        sigma_x = sigma * np.linalg.norm(np.linalg.pinv(C), 2)
+    scale = np.hypot(np.finfo(float).eps * np.linalg.norm(X0, axis=0), sigma_x)
+    w = np.divide(1.0, scale, out=np.ones_like(scale), where=scale > 0)
+    return w / w.max()
+
+
 def fit_multirate(record, schedule, order, C=None):
-    """Least-squares fit of per-offset transition matrices from a record.
+    """Weighted least-squares fit of per-offset transition matrices.
 
     Regresses x(kT + t_i) = G_i x(kT) over frames k, offset by offset,
-    and x((k+1)T) = G x(kT) for the frame map.  States are taken from
-    snapshots when the record carries them, otherwise recovered per
-    sample from y = C x, which needs C of full column rank.
+    and x((k+1)T) = G x(kT) for the frame map, frame k's equations scaled
+    by the weight of `_frame_weights`.  States are taken from snapshots
+    when the record carries them, otherwise recovered per sample from
+    y = C x, which needs C of full column rank.
 
     The record must cover every offset of every frame (the layout the
     simulator produces).  Input maps F are not fit here; autonomous
@@ -169,9 +190,11 @@ def fit_multirate(record, schedule, order, C=None):
             f"{order} directions; more frames or a richer initial state needed"
         )
 
+    w = _frame_weights(record, X0, C_used)
+
     def regress(target):
-        # solve K X0 = target for K
-        K, *_ = np.linalg.lstsq(X0.T, target.T, rcond=None)
+        # solve K (X0 W) = target W for K, W = diag(w)
+        K, *_ = np.linalg.lstsq((X0 * w).T, (target * w).T, rcond=None)
         return K.T
 
     G_offsets = [np.eye(order)]

@@ -31,7 +31,7 @@ converts to 1-based records.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,30 +189,6 @@ class StructureTensors:
     f_val: np.ndarray
     g_ind: np.ndarray
     g_val: np.ndarray
-    _f_dense: np.ndarray = field(default=None, repr=False, compare=False)
-    _g_dense: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def f_dense(self):
-        """Dense (n, n, n) tensor with f_dense[j, k, l] = f_jkl."""
-        if self._f_dense is None:
-            t = np.zeros((self.n,) * 3)
-            if len(self.f_val):
-                t[self.f_ind[:, 0], self.f_ind[:, 1], self.f_ind[:, 2]] = self.f_val
-            self._f_dense = t
-        return self._f_dense
-
-    def g_dense(self):
-        """Dense (n, n, n) tensor with g_dense[j, k, l] = g_jkl."""
-        if self._g_dense is None:
-            t = np.zeros((self.n,) * 3)
-            if len(self.g_val):
-                t[self.g_ind[:, 0], self.g_ind[:, 1], self.g_ind[:, 2]] = self.g_val
-            self._g_dense = t
-        return self._g_dense
-
-    def z_dense(self):
-        """Combined tensor z_jkl = f_jkl + i g_jkl used in dissipator assembly."""
-        return self.f_dense() + 1j * self.g_dense()
 
 
 def structure_constants(basis):

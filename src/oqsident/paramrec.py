@@ -1,48 +1,36 @@
-"""Recovery of Hamiltonian and Kossakowski parameters from drift matrices.
+"""Recovery of Hamiltonian and Kossakowski parameters from drift data.
 
 The coherence-vector drift depends linearly on the generator parameters,
 
     vec(A)  = T1 theta + T2 vec(gamma)
     beta    = -(i/N) T1^T vec(gamma)
 
-with row-major vectorization vec(A)[(j, k)] = A[j, k] at row j*n + k and
-
-    T1[(j, k), c]       = -f_jkc
-    T2[(j, k), (l, m)]  = -D^{(j,k)}_{lm}
-    D^{(j,k)}_lm        = (1/4) sum_p (z_lpk f_jmp + conj(z_mpk) f_jlp)
-
-so the stacked map M = [[T1, T2], [0, -(i/N) T1^T]] sends (theta,
-vec(gamma)) to (vec(A), beta).  M is never formed: `gksl.drift` evaluates
-it forward for the residual checks of recovered parameters, and general
-mode inverts it in closed form through the process matrix, the
-Gorini-Kossakowski-Sudarshan decomposition of the Liouvillian (Wolf,
-Eisert, Cubitt & Cirac, PRL 101, 150402, 2008).  With the orthonormal
-stack G_0 = I/sqrt(N), G_j = F_j, (A, beta) is the Pauli transfer matrix
-R = [[0, 0], [sqrt(N) beta, A]] of the Liouvillian L = U R U^H, where the
-columns of U are the column-stacked vec(G_i).  The coefficients c_ij =
-<G_j^T kron G_i, L> of L rho = sum_ij c_ij G_i rho G_j then give
+with row-major vectorization vec(A)[(j, k)] = A[j, k] and
+T1[(j, k), c] = -f_jkc.  The stacked map M = [[T1, T2], [0, -(i/N) T1^T]]
+is never formed (the tests keep it, T1 and T3 as dense oracles):
+`gksl.drift` evaluates it forward, and both modes invert it in closed
+form through the process matrix, the Gorini-Kossakowski-Sudarshan
+decomposition of the Liouvillian (Wolf, Eisert, Cubitt & Cirac, PRL 101,
+150402, 2008).  With the orthonormal stack G_0 = I/sqrt(N), G_j = F_j,
+(A, beta) is the Pauli transfer matrix R = [[0, 0], [sqrt(N) beta, A]]
+of L, and the coefficients c_ij of L rho = sum_ij c_ij G_i rho G_j give
 
     gamma   = c[1:, 1:]
     theta_j = Tr(F_j H) = -Im(c_j0) / sqrt(N),
 
 with H = (K^H - K)/(2i) and K = c_00/(2N) I + sum_i c_i0 G_i / sqrt(N).
-M is invertible for every basis, so the route has no fallback and no
-threshold; its singular values are known in closed form
-(`_m_singular_values`).
+M is invertible for every basis, so the inverse has no threshold; its
+singular values are known in closed form (`_m_singular_values`).
 
-For real symmetric gamma the dissipative block simplifies to
-
-    (A_d)_jk = -sum_lm gamma_lm Dt^{(j,k)}_lm,
-    Dt^{(j,k)}_lm = (1/2) sum_p f_jmp f_klp,
-
-beta vanishes, and A splits as A_l = (A - A^T)/2, A_d = (A + A^T)/2.
-Merging the columns of the Dt-based matrix over symmetric index pairs
-yields T3 of shape (n^2, n(n+1)/2), acting on the packed upper triangle
-of gamma (row-major pair order (0,0), (0,1), ..., (1,1), ...).
-Symmetric mode works from A only, by least squares through T3 and T1
-with range checks, and degrades explicitly: the beta fallback is its last
-resort for gamma.  Every result names its branch; nothing is silently
-approximated.
+General mode keeps the Hermitian part of c[1:, 1:].  Symmetric mode works
+from A alone (beta = 0 in R) and keeps the real symmetric part, which is
+the least-squares solution of A_d = (A + A^T)/2 = T3 gamma (T3 merges
+T2's columns over symmetric index pairs), as theta is for
+A_l = (A - A^T)/2 = T1 theta.  Each is kept only when the forward
+residual of its part of A is within `range_tol`; T3 maps onto the
+symmetric matrices, so with honest data only theta can fail.  The last
+resort for gamma is the minimum-norm solution from beta,
+(i/2) T1 beta.  Every result names its branch.
 """
 
 from dataclasses import dataclass, field
@@ -57,22 +45,23 @@ from .liealg import _word_stack, pauli_words
 class ReconstructionMatrices:
     """Per-basis data of the two recovery routes.
 
-    G, the (N^2, N, N) stack [I/sqrt(N), F_1, ..., F_n], is what the
-    general route needs; T3 is the real-symmetric route's block.  Unused
-    ones stay None.  T1 serves the symmetric route, and the structure
-    tensors the residual checks of both.
+    Both routes invert through G, the (N^2, N, N) stack [I/sqrt(N), F_1,
+    ..., F_n], and check residuals with the forward map on G[1:] and the
+    sparse structure constants (f_ind, f_val).  general and symmetric
+    record the routes the data were prepared for.
     """
 
     n: int
     N: int
-    T1: np.ndarray
-    tensors: object
-    G: np.ndarray = None
-    T3: np.ndarray = None
+    G: np.ndarray
+    f_ind: np.ndarray
+    f_val: np.ndarray
+    general: bool
+    symmetric: bool
 
 
 def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
-    """Assemble T1 and, per mode, G and T3 from structure constants.
+    """Assemble the per-basis data of the recovery routes.
 
     Parameters
     ----------
@@ -82,27 +71,11 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
     general, symmetric : bool
         Which reconstruction routes to prepare.
     """
-    n = tensors.n
-    f = tensors.f_dense()
-    T1 = -f.reshape(n * n, n)
-    mats = ReconstructionMatrices(n=n, N=dim, T1=T1, tensors=tensors)
-
-    if general:
-        q = int(dim).bit_length() - 1
-        mats.G = _word_stack(["I" * q] + pauli_words(q), 1.0 / np.sqrt(dim))
-
-    if symmetric:
-        # Y[j, k, l, m] = sum_p f_jmp f_klp = 2 Dt^{(j,k)}_lm.  Column (l, m)
-        # of T3 merges the (l, m) and (m, l) columns of -Dt; on the diagonal
-        # the pair is one column, added twice and halved (exact).
-        Y = np.tensordot(f, f, axes=([2], [2])).transpose(0, 2, 3, 1)
-        rows, cols = np.triu_indices(n)
-        T3 = Y[:, :, rows, cols]
-        T3 += Y[:, :, cols, rows]
-        T3 *= np.where(rows == cols, -0.25, -0.5)
-        mats.T3 = T3.reshape(n * n, len(rows))
-
-    return mats
+    q = int(dim).bit_length() - 1
+    G = _word_stack(["I" * q] + pauli_words(q), 1.0 / np.sqrt(dim))
+    return ReconstructionMatrices(
+        tensors.n, dim, G, tensors.f_ind, tensors.f_val, general, symmetric
+    )
 
 
 @dataclass
@@ -132,16 +105,43 @@ def _gamma_from_beta(mats, beta, range_tol):
     """Minimum-norm Hermitian gamma consistent with the offset beta.
 
     beta pins only the skew part of gamma through -(i/N) T1^T vec(gamma);
-    the map has a large kernel, so the returned gamma is one consistent
-    choice, not the ground truth.
+    the map has a large kernel, so gamma = (i/2) T1 beta is one consistent
+    choice, not the ground truth.  Its reassembly error of beta checks
+    T1^T T1 = 2N I on the stored constants.
     """
-    Bmap = -(1j / mats.N) * mats.T1.T.astype(complex)
-    sol, *_ = np.linalg.lstsq(Bmap, beta.astype(complex), rcond=None)
-    resid = np.linalg.norm(Bmap @ sol - beta)
+    j, k, l = mats.f_ind.T
+    g = np.zeros((mats.n, mats.n), dtype=complex)
+    g[j, k] = -0.5j * mats.f_val * beta[l]  # purely imaginary, antisymmetric
+    back = np.bincount(l, weights=mats.f_val**2, minlength=mats.n) * beta / (2 * mats.N)
+    resid = np.linalg.norm(back - beta)
     if resid > range_tol * (1.0 + np.linalg.norm(beta)):
         return None, resid
-    g = sol.reshape(mats.n, mats.n)
-    return 0.5 * (g + g.conj().T), resid
+    return g, resid
+
+
+def _forward(mats, theta, gamma):
+    """gksl.drift on the generator stack held by mats: (A, beta), real."""
+    A_l, A_d, beta = drift(mats.G[1:], mats.f_ind, mats.f_val, theta, gamma)
+    return A_l + A_d.real, beta.real
+
+
+def _invert(G, A, beta):
+    """theta and c[1:, 1:] of the process matrix c (L rho = sum_ij c_ij
+    G_i rho G_j) of the Pauli transfer matrix R = [[0, 0], [sqrt(N) beta, A]].
+
+    With Gm the (N^2, N^2) reshaped stack (orthonormal and Hermitian),
+    Y = Gm^T R Gm holds d L(rho)[p, q] / d rho[r, s] at [(p, q), (s, r)];
+    its reshuffle Z[(r, p), (q, s)] is sum_ij c_ij G_i[p, r] G_j[s, q],
+    so c = Gm Z Gm^T.
+    """
+    N2, N = G.shape[0], G.shape[1]
+    Gm = G.reshape(N2, N2)
+    R = np.zeros((N2, N2))
+    R[1:, 0] = np.sqrt(N) * beta
+    R[1:, 1:] = A
+    Z = (Gm.T @ R @ Gm).reshape(N, N, N, N).transpose(3, 0, 1, 2).reshape(N2, N2)
+    c = Gm @ Z @ Gm.T
+    return -c[1:, 0].imag / np.sqrt(N), c[1:, 1:]
 
 
 def _m_singular_values(N):
@@ -169,13 +169,13 @@ def reconstruct_general(A, beta, mats):
     """Recover (theta, gamma) with Hermitian gamma from (A, beta).
 
     Inverts M in closed form through the process matrix c (module
-    docstring): two contractions of the Liouvillian with conj(G), no
-    solve.  gamma is the Hermitian part of c[1:, 1:], whose distance from
-    Hermitian is reported; real (A, beta) make c Hermitian up to rounding.
+    docstring), no solve.  gamma is the Hermitian part of c[1:, 1:], whose
+    distance from Hermitian is reported; real (A, beta) make c Hermitian
+    up to rounding.
     """
-    if mats.G is None:
+    if not mats.general:
         raise ValueError("mats was built without the general-mode blocks")
-    n, N, G = mats.n, mats.N, mats.G
+    n, N = mats.n, mats.N
     A = np.asarray(A, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if A.shape != (n, n) or beta.shape != (n,):
@@ -183,26 +183,16 @@ def reconstruct_general(A, beta, mats):
             f"expected A of shape {(n, n)} and beta of shape {(n,)}, "
             f"got {A.shape} and {beta.shape}"
         )
-    # U's columns are the column-stacked vec(G_i); L = U R U^H.
-    U = G.transpose(0, 2, 1).reshape(N * N, N * N).T
-    R = np.zeros((N * N, N * N))
-    R[1:, 0] = np.sqrt(N) * beta
-    R[1:, 1:] = A
-    L = (U @ R @ U.conj().T).reshape((N,) * 4)
-    # c_ij = sum_pqrs conj(G_j[r, p] G_i[q, s]) L[p, q, r, s]
-    Gc = G.conj()
-    c = np.tensordot(np.tensordot(L, Gc, axes=([1, 3], [1, 2])), Gc, axes=([0, 1], [2, 1]))
-    theta = -c[1:, 0].imag / np.sqrt(N)
-    g = c[1:, 1:]
+    theta, g = _invert(mats.G, A, beta)
     gamma = 0.5 * (g + g.conj().T)
-    A_l_chk, A_d_chk, beta_chk = drift(mats.tensors, N, theta, gamma)
+    A_chk, beta_chk = _forward(mats, theta, gamma)
     values, _ = _m_singular_values(N)
     return RecoveredParams(
         status="full",
         theta=theta,
         gamma=gamma,
-        residual_A=float(np.linalg.norm(A_l_chk + A_d_chk.real - A)),
-        residual_beta=float(np.linalg.norm(beta_chk.real - beta)),
+        residual_A=float(np.linalg.norm(A_chk - A)),
+        residual_beta=float(np.linalg.norm(beta_chk - beta)),
         kappa=float(values.max() / values.min()),
         hermiticity_defect=float(np.linalg.norm(g - g.conj().T) / 2.0),
     )
@@ -211,38 +201,29 @@ def reconstruct_general(A, beta, mats):
 def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
     """Recover (theta, gamma) with real symmetric gamma from A alone.
 
-    Splits A into its symmetric part (dissipative) and antisymmetric
-    part (Hamiltonian), then solves the two decoupled least-squares
-    problems through T3 and T1 with explicit range checks.  When the
-    dissipative route fails but a beta vector is supplied, the
-    minimum-norm gamma from beta is attempted as a fallback
-    ('theta-and-beta-gamma').
+    Inverts M with beta = 0 through the process matrix (module docstring)
+    and keeps theta and gamma only where the forward residual of the
+    antisymmetric (Hamiltonian) and symmetric (dissipative) part of A is
+    within range_tol (1 + its norm).  When the dissipative route fails but
+    a beta vector is supplied, the minimum-norm gamma from beta is
+    attempted as a fallback ('theta-and-beta-gamma').
     """
-    if mats.T3 is None:
+    if not mats.symmetric:
         raise ValueError("mats was built without the symmetric-mode block")
     n = mats.n
     A = np.asarray(A, dtype=float)
     A_d = 0.5 * (A + A.T)
     A_l = 0.5 * (A - A.T)
 
-    gamma = None
-    vec_d = A_d.reshape(-1)
-    sol, _, rank, _ = np.linalg.lstsq(mats.T3, vec_d, rcond=None)
-    if rank == mats.T3.shape[1]:
-        resid_d = np.linalg.norm(mats.T3 @ sol - vec_d)
-        if resid_d <= range_tol * (1.0 + np.linalg.norm(vec_d)):
-            rows, cols = np.triu_indices(n)
-            gamma = np.zeros((n, n))
-            gamma[rows, cols] = sol
-            gamma[cols, rows] = sol
-
-    theta = None
-    vec_l = A_l.reshape(-1)
-    sol, _, rank, _ = np.linalg.lstsq(mats.T1, vec_l, rcond=None)
-    if rank == n:
-        resid_l = np.linalg.norm(mats.T1 @ sol - vec_l)
-        if resid_l <= range_tol * (1.0 + np.linalg.norm(vec_l)):
-            theta = sol
+    theta, g = _invert(mats.G, A, np.zeros(n))
+    gamma = 0.5 * (g.real + g.real.T)
+    A_chk, beta_chk = _forward(mats, theta, gamma)
+    resid_d = np.linalg.norm(0.5 * (A_chk + A_chk.T) - A_d)
+    if resid_d > range_tol * (1.0 + np.linalg.norm(A_d)):
+        gamma = None
+    resid_l = np.linalg.norm(0.5 * (A_chk - A_chk.T) - A_l)
+    if resid_l > range_tol * (1.0 + np.linalg.norm(A_l)):
+        theta = None
 
     notes = []
     if gamma is not None and theta is not None:
@@ -255,6 +236,7 @@ def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
             gamma_fb, resid = _gamma_from_beta(mats, np.asarray(beta, dtype=float), range_tol)
             if gamma_fb is not None:
                 gamma = gamma_fb.real
+                _, beta_chk = _forward(mats, theta, gamma)
                 status = "theta-and-beta-gamma"
                 notes.append(
                     "symmetric part outside the range of T3; gamma is the "
@@ -269,16 +251,10 @@ def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
     else:
         return RecoveredParams(status="not-recoverable", notes=["no block recoverable"])
 
-    A_l_chk, A_d_chk, beta_chk = drift(
-        mats.tensors,
-        mats.N,
-        np.zeros(n) if theta is None else theta,
-        np.zeros((n, n)) if gamma is None else gamma,
-    )
-    residual_A = float(np.linalg.norm(A_l_chk + A_d_chk.real - A)) if status == "full" else None
+    residual_A = float(np.linalg.norm(A_chk - A)) if status == "full" else None
     residual_beta = None
     if beta is not None and gamma is not None:
-        residual_beta = float(np.linalg.norm(beta_chk.real - np.asarray(beta, dtype=float)))
+        residual_beta = float(np.linalg.norm(beta_chk - np.asarray(beta, dtype=float)))
     return RecoveredParams(
         status=status,
         theta=theta,
@@ -307,7 +283,7 @@ def error_bound(mats, delta_M_norm, A, delta_A_norm, beta=None):
     is returned.  ||M|| and ||M^{-1}|| come from M's closed-form singular
     values.
     """
-    if mats.G is None:
+    if not mats.general:
         raise ValueError("mats was built without the general-mode blocks")
     n = mats.n
     A = np.asarray(A, dtype=float)

@@ -38,7 +38,7 @@ from oqsident import (
 )
 from oqsident.cli import _two_qubit_demo_params
 from oqsident.simulate import SamplingSchedule
-from oracles import stacked_map
+from oracles import f_dense, stacked_map, t1_block, t3_block
 
 
 def random_psd(rng, n, scale=0.4, complex_=True):
@@ -95,7 +95,7 @@ def test_criterion_02_unnormalized_base_case():
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k] = 1.0
         eps[i, k, j] = -1.0
-    assert np.array_equal(tensors.f_dense(), 2.0 * eps)
+    assert np.array_equal(f_dense(tensors), 2.0 * eps)
     assert len(tensors.g_val) == 0
 
 
@@ -216,20 +216,17 @@ def test_criterion_06_general_round_trip():
 
 def test_criterion_07_reconstruction_matrix_facts():
     """T1 has full column rank n for one to three qubits; the symmetric
-    merger T3 at fifteen generators is 225 x 120 with full column rank."""
+    merger T3 at fifteen generators is 225 x 120 with full column rank.
+    The package inverts these blocks through the process matrix without
+    forming them, so the dense matrices come from the test oracle."""
     for q in (1, 2, 3):
         basis = build_basis(q)
-        tensors = structure_constants(basis)
-        mats = build_reconstruction_matrices(
-            tensors, basis.dim, general=False, symmetric=False
-        )
-        assert mats.T1.shape == (basis.n**2, basis.n)
-        assert np.linalg.matrix_rank(mats.T1) == basis.n
-    basis = build_basis(2)
-    tensors = structure_constants(basis)
-    mats = build_reconstruction_matrices(tensors, basis.dim, general=False)
-    assert mats.T3.shape == (225, 120)
-    assert np.linalg.matrix_rank(mats.T3) == 120
+        T1 = t1_block(structure_constants(basis))
+        assert T1.shape == (basis.n**2, basis.n)
+        assert np.linalg.matrix_rank(T1) == basis.n
+    T3 = t3_block(structure_constants(build_basis(2)))
+    assert T3.shape == (225, 120)
+    assert np.linalg.matrix_rank(T3) == 120
 
 
 def test_criterion_08_continuous_reconstruction():

@@ -8,6 +8,7 @@ Where that is too slow (dimension 16 and up), and for the exact
 closure kept in `oracles.word_span_reference`.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ from oqsident import (
 )
 from oqsident.gksl import embed_standard_form
 from oqsident.simulate import Pulse, SamplingSchedule
-from oracles import word_span_reference
+from oracles import f_dense, word_span_reference
 
 
 def brute_span_rank(ops, seeds, dim):
@@ -278,7 +279,7 @@ def test_depolarizing_embedded_span_is_rank_deficient():
     # rotation plane complement
     basis = build_basis(1)
     tensors = structure_constants(basis)
-    f = tensors.f_dense()
+    f = f_dense(tensors)
     A_emb = np.zeros((4, 4))
     A_emb[:3, :3] = -0.5 * np.eye(3)
     C_emb = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -388,7 +389,7 @@ def test_accessible_set_two_axes_close_everything():
 
 def test_accessible_set_matches_brute_force_two_qubits():
     tensors = structure_constants(build_basis(2))
-    f = tensors.f_dense()
+    f = f_dense(tensors)
     n = tensors.n
     rng = np.random.default_rng(217)
     cases = [({2}, {0}), ({0}, {0, 4}), ({14}, set(range(n)))]
@@ -464,6 +465,48 @@ def test_report_controlled_affine_runs_embedded():
     assert rep.verdict is True
     assert rep.required_rank == 4
     assert rep.rank_obs == 4 and rep.rank_ctrl == 4
+
+
+def _affine_one_qubit():
+    gamma = np.array(
+        [[0.5, 0.2j, 0.0], [-0.2j, 0.4, 0.1j], [0.0, -0.1j, 0.3]]
+    )
+    return _one_qubit_system(gamma, theta=np.array([0.7, 0.0, 1.1]))
+
+
+@pytest.mark.parametrize(
+    "b, seed",
+    [
+        # an (n,) b gains the affine coordinate 1
+        ([0.0, 0.0, 0.5], [0.0, 0.0, 0.5, 1.0]),
+        # an (n, m) b gains a row of ones
+        ([[0.0, 0.3], [0.0, 0.0], [0.5, 0.0]], [[0.0, 0.3], [0.0, 0.0], [0.5, 0.0], [1.0, 1.0]]),
+        # (n + 1,) and (n + 1, m) are already embedded and pass unchanged
+        ([0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.5, 0.0]),
+        ([[0.0], [0.0], [0.5], [0.0]], [[0.0], [0.0], [0.5], [0.0]]),
+    ],
+    ids=["n", "n-by-m", "n+1", "n+1-by-m"],
+)
+def test_report_controlled_affine_seed_shapes(b, seed):
+    sys = _affine_one_qubit()
+    fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
+    rep = identifiability_report(sys, mode="controlled", pulses=fam, b=b)
+    emb = embed_standard_form(sys)
+    span = bilinear_span_test(emb.A_emb, emb.N_list_emb, np.array(seed), emb.C_emb)
+    assert (rep.rank_ctrl, rep.rank_obs) == (span.rank_ctrl, span.rank_obs)
+    assert rep.required_rank == 4
+
+
+@pytest.mark.parametrize(
+    "b", [np.zeros(2), np.zeros((2, 2)), np.zeros(5), np.zeros((3, 2, 1))],
+    ids=["n-1", "n-1-by-m", "n+2", "three-dim"],
+)
+def test_report_controlled_affine_seed_rejects_wrong_shape(b):
+    sys = _affine_one_qubit()
+    fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
+    expected = re.escape(f"(3,), (3, m), (4,) or (4, m) on an affine system, got shape {b.shape}")
+    with pytest.raises(ValueError, match=expected):
+        identifiability_report(sys, mode="controlled", pulses=fam, b=b)
 
 
 def test_report_controlled_zero_amplitude_fails():

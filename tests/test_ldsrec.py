@@ -5,22 +5,29 @@ analytic values for invertible A, and every reconstruction claim is
 checked against the matrices the model was generated from.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
 from oqsident import (
+    GkslParams,
+    assemble_system,
+    build_basis,
     exact_multirate_model,
     fit_multirate,
     golden_schedule,
     reconstruct_continuous,
+    rho_to_coherence,
     simulate,
     single_rate_models,
+    structure_constants,
     van_loan_integral,
 )
 from oqsident.gksl import CoherenceSystem
-from oqsident.ldsrec import SingleRateFamily
-from oqsident.simulate import SamplingSchedule
+from oqsident.ldsrec import SingleRateFamily, _frame_weights
+from oqsident.simulate import MeasurementRecord, SamplingSchedule
 
 
 def rot(w):
@@ -259,3 +266,70 @@ def test_fit_multirate_missing_stamp():
     rec.y = rec.y[:-1]
     with pytest.raises(ValueError, match="missing the frame-end state"):
         fit_multirate(rec, sched, order=2)
+
+
+def _decaying_two_qubit_record(noise_sigma=0.0):
+    # strongly dissipative generator: the frame-start states shrink by
+    # orders of magnitude over the record (cond(X0) ~ 1e13)
+    basis = build_basis(2)
+    n = basis.n
+    rng = np.random.default_rng(2)
+    theta = rng.normal(size=n)
+    m = rng.normal(size=(n, n))
+    sys = assemble_system(
+        basis,
+        structure_constants(basis),
+        GkslParams(theta=theta, gamma=m @ m.T / n, symmetric=True),
+    )
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = v @ v.conj().T
+    sched = golden_schedule(T=0.5, l=2, frames=n + 2)
+    record = simulate(
+        sys, sched, x0=rho_to_coherence(rho / np.trace(rho), basis), noise_sigma=noise_sigma,
+        seed=7,
+    )
+    return sys, sched, record
+
+
+def _unweighted(record):
+    # a record that states no noise_sigma is fitted with uniform weights,
+    # which is the unweighted regression
+    plain = copy.copy(record)
+    plain.meta = {k: v for k, v in record.meta.items() if k != "noise_sigma"}
+    return plain
+
+
+def test_fit_multirate_weights_decaying_frames():
+    sys, sched, record = _decaying_two_qubit_record()
+    errors = []
+    for rec in (record, _unweighted(record)):
+        model = fit_multirate(rec, sched, sys.n, C=sys.C)
+        cont = reconstruct_continuous(single_rate_models(model))
+        errors.append(np.max(np.abs(cont.A - sys.A)))
+    weighted, uniform = errors
+    assert weighted < 1.5e-8 < uniform
+
+
+def test_fit_multirate_uniform_under_stated_noise():
+    sys, sched, record = _decaying_two_qubit_record(noise_sigma=1e-6)
+    noisy = fit_multirate(record, sched, sys.n, C=sys.C)
+    plain = fit_multirate(_unweighted(record), sched, sys.n, C=sys.C)
+    for G_w, G_u in zip(noisy.G_offsets, plain.G_offsets):
+        assert np.array_equal(G_w, G_u)
+
+
+def test_frame_weights_zero_state_keeps_weight_one():
+    X0 = np.zeros((3, 4))
+    X0[:, 1] = [1e-3, 0.0, 0.0]
+    X0[:, 2] = [0.0, 2.0, 0.0]
+    record = MeasurementRecord(
+        t=None, y=None, frame=None, offset_index=None, pulse_id=None, x=X0.T,
+        meta={"noise_sigma": 0.0},
+    )
+    w = _frame_weights(record, X0, np.eye(3))
+    assert np.all(np.isfinite(w))
+    # 1/|x| for the nonzero states, scaled so the largest weight is 1; the
+    # zero states keep weight 1 before the scaling
+    eps = np.finfo(float).eps
+    expected = np.array([1.0, 1.0 / (eps * 1e-3), 1.0 / (eps * 2.0), 1.0])
+    assert np.allclose(w, expected / expected.max(), rtol=1e-15)
