@@ -139,7 +139,7 @@ def _cmd_reconstruct_params(args):
             beta = np.zeros(tensors.n)
         rec = reconstruct_general(A, beta, mats)
     else:
-        rec = reconstruct_symmetric(A, mats, beta=beta)
+        rec = reconstruct_symmetric(A, mats)
     jsonio.write_params_hat(args.out, rec)
     print(f"recovery status: {rec.status}")
     if rec.kappa is not None:

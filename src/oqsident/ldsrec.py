@@ -7,18 +7,19 @@ per offset, all sharing the frame map G = exp(A T):
     G_i     = exp(A t_i)
     F_tau_i = (integral_0^{tau_i} exp(A s) ds) B
     F_i     = exp(A (T - t_i)) F_tau_i
-    Gamma   = [C; C G_1; ...; C G_l]            (stacked readout block)
+    Gamma   = [C; C G_1; ...; C G_l]     (stacked readout block, file only)
 
 From the family of per-offset models one extracts single-rate transition
-matrices G_tau_i = exp(A tau_i) by least squares between stacked
-observability blocks, and from those the continuous pair (A, B):
-eigenvalues of A are found as the intersection of the matrix-logarithm
-branch sets of the G_tau_i over all rates, which is a single point per
-eigenvalue exactly when the increment ratios avoid resonant (rational)
-alignment; the input matrix follows from F_tau by inverting the
-exponential integral (computed by the augmented-block trick:
-expm([[A, I], [0, 0]] tau) carries the integral in its upper-right
-block).
+matrices G_tau_i = exp(A tau_i) = G_{i-1}^{-1} G_i (the offset maps
+telescope), and from those the continuous pair (A, B): eigenvalues of A
+are found as the intersection of the matrix-logarithm branch sets of the
+G_tau_i over all rates, which is a single point per eigenvalue exactly
+when the increment ratios avoid resonant (rational) alignment; the
+eigenvectors are taken from the first rate and sharpened by one step of
+inverse iteration on the frame map; the input matrix follows from F_tau
+by inverting the exponential integral (computed by the augmented-block
+trick: expm([[A, I], [0, 0]] tau) carries the integral in its
+upper-right block).
 
 Branch search is windowed: only candidates with |Im mu| <= pi / min(tau)
 are considered, the resolution limit of the fastest rate.  Zero
@@ -28,6 +29,7 @@ aliasing is reserved for the genuinely unresolvable single-rate case.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -42,7 +44,8 @@ class DiscreteMultirateModel:
     G_offsets[i] holds exp(A t_i) (fitted or exact) for i = 0 .. l+1, so
     G_offsets[0] is the identity and G_offsets[-1] equals G.  F holds the
     frame-tail input maps F_1 .. F_{l+1} when inputs were modeled, else
-    None.
+    None.  Gamma is kept only for the `model` file schema; no
+    reconstruction step reads it.
     """
 
     order: int
@@ -226,33 +229,20 @@ def fit_multirate(record, schedule, order, C=None):
 def single_rate_models(model):
     """Extract G_tau_i = exp(A tau_i) from a multirate model.
 
-    Stacks per-offset observability blocks Gamma_i = [C G^p G_i, p = 0..n]
-    and solves Gamma_{i-1} G_tau_i = Gamma_i in least squares.  Each
-    Gamma_{i-1} must have full column rank; otherwise the offset is named
-    in the error.
+    The offset maps telescope: G_offsets[i] = exp(A t_i), so
+    G_tau_i = G_offsets[i-1]^{-1} G_offsets[i], one n x n solve per rate.
+    A singular offset map raises a ValueError naming the offset.
     """
     n = model.order
-    C = model.C
     times = model.times
-    powers = [C.copy()]
-    for _ in range(n):
-        powers.append(powers[-1] @ model.G)
-
-    def gamma_stack(i):
-        return np.vstack([P @ model.G_offsets[i] for P in powers])
-
     G_taus = []
-    prev = gamma_stack(0)
     for i in range(1, len(times)):
-        cur = gamma_stack(i)
-        if np.linalg.matrix_rank(prev) < n:
+        try:
+            G_taus.append(np.linalg.solve(model.G_offsets[i - 1], model.G_offsets[i]))
+        except np.linalg.LinAlgError:
             raise ValueError(
-                f"stacked observability block at offset {i - 1} is rank deficient; "
-                "single-rate extraction not possible"
-            )
-        Gt, *_ = np.linalg.lstsq(prev, cur, rcond=None)
-        G_taus.append(Gt)
-        prev = cur
+                f"offset map {i - 1} is singular; single-rate extraction not possible"
+            ) from None
 
     F_taus = None
     if model.F is not None:
@@ -262,7 +252,7 @@ def single_rate_models(model):
             F_taus.append(np.linalg.solve(model.G, model.G_offsets[i] @ model.F[i - 1]))
         F_taus.append(model.F[last - 1])
     taus = np.diff(times)
-    return SingleRateFamily(order=n, taus=taus, G_taus=G_taus, C=C, F_taus=F_taus)
+    return SingleRateFamily(order=n, taus=taus, G_taus=G_taus, C=model.C, F_taus=F_taus)
 
 
 def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
@@ -276,6 +266,14 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
 
     Eigenvectors are taken from the first rate (all G_tau_i share them),
     requiring diagonalizability; a defective transition matrix raises.
+    Each is then sharpened by one inverse-iteration step on the frame map
+    P = prod G_tau_i = exp(A T), shifted by exp(mu_m T) for its chosen
+    eigenvalue mu_m: v_m <- (P - exp(mu_m T) I)^{-1} v_m, normalised.
+    Starting from the first rate keeps modes apart that alias on the
+    frame (equal exp(mu T)); if the shifted solve is singular or not
+    finite, which only exact data produce, the first-rate basis is kept.
+    A singular transition matrix, zero or several branch survivors for a
+    mode, and an imaginary residue in A raise ValueError.
 
     B is recovered from F_tau of the first rate by inverting the
     exponential integral, when input maps are present; otherwise B is
@@ -325,6 +323,16 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
                 "candidates survive; the sampling schedule cannot separate aliases"
             )
         mu[m] = survivors[0]
+
+    # one inverse-iteration step per mode on the frame map P = exp(A T)
+    P = reduce(np.matmul, G_list)
+    shifted = P - np.exp(mu * taus.sum())[:, None, None] * np.eye(n)
+    try:
+        W = np.linalg.solve(shifted, V.T[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:  # exact data: a shift hits P's spectrum
+        W = V
+    if np.all(np.isfinite(W)):
+        V = W / np.linalg.norm(W, axis=0)
 
     A = V @ np.diag(mu) @ np.linalg.inv(V)
     imag_res = np.max(np.abs(A.imag))

@@ -22,15 +22,14 @@ with H = (K^H - K)/(2i) and K = c_00/(2N) I + sum_i c_i0 G_i / sqrt(N).
 M is invertible for every basis, so the inverse has no threshold; its
 singular values are known in closed form (`_m_singular_values`).
 
-General mode keeps the Hermitian part of c[1:, 1:].  Symmetric mode works
-from A alone (beta = 0 in R) and keeps the real symmetric part, which is
-the least-squares solution of A_d = (A + A^T)/2 = T3 gamma (T3 merges
-T2's columns over symmetric index pairs), as theta is for
-A_l = (A - A^T)/2 = T1 theta.  Each is kept only when the forward
-residual of its part of A is within `range_tol`; T3 maps onto the
-symmetric matrices, so with honest data only theta can fail.  The last
-resort for gamma is the minimum-norm solution from beta,
-(i/2) T1 beta.  Every result names its branch.
+General mode keeps the Hermitian part of c[1:, 1:] and always returns
+'full'.  Symmetric mode works from A alone (beta = 0 in R) and keeps the
+real symmetric part, which is the least-squares solution of
+A_d = (A + A^T)/2 = T3 gamma (T3 merges T2's columns over symmetric index
+pairs), as theta is for A_l = (A - A^T)/2 = T1 theta.  T3 maps onto the
+symmetric matrices, so gamma always reproduces A_d; theta is kept only
+when the forward residual of A_l is within `range_tol`, and the status is
+'full' or 'gamma-only'.
 """
 
 from dataclasses import dataclass, field
@@ -82,13 +81,16 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
 class RecoveredParams:
     """Outcome of a reconstruction attempt.
 
-    status is one of 'full', 'gamma-only', 'theta-only',
-    'theta-and-beta-gamma', 'not-recoverable'; general mode always
-    returns 'full'.  Residuals are reassembly errors of the recovered
-    parameters against the given drift data; kappa is the 2-norm condition
-    number of M, which general mode inverts in closed form and reports
-    from M's closed-form singular values; hermiticity_defect measures how
-    far the raw gamma solution was from Hermitian before projection.
+    status is 'full' or 'gamma-only' (symmetric mode, theta outside the
+    range of T1); general mode always returns 'full'.  Files written by
+    earlier versions may carry 'theta-only', 'theta-and-beta-gamma' or
+    'not-recoverable', which `read_params_hat` still reads.  Residuals
+    are reassembly errors of the recovered parameters against the given
+    drift data (symmetric mode: residual_A when 'full', no residual_beta);
+    kappa is the 2-norm condition number of M, which general mode inverts
+    in closed form and reports from M's closed-form singular values;
+    hermiticity_defect measures how far the raw gamma solution was from
+    Hermitian before projection.
     """
 
     status: str
@@ -99,24 +101,6 @@ class RecoveredParams:
     kappa: float = None
     hermiticity_defect: float = None
     notes: list = field(default_factory=list)
-
-
-def _gamma_from_beta(mats, beta, range_tol):
-    """Minimum-norm Hermitian gamma consistent with the offset beta.
-
-    beta pins only the skew part of gamma through -(i/N) T1^T vec(gamma);
-    the map has a large kernel, so gamma = (i/2) T1 beta is one consistent
-    choice, not the ground truth.  Its reassembly error of beta checks
-    T1^T T1 = 2N I on the stored constants.
-    """
-    j, k, l = mats.f_ind.T
-    g = np.zeros((mats.n, mats.n), dtype=complex)
-    g[j, k] = -0.5j * mats.f_val * beta[l]  # purely imaginary, antisymmetric
-    back = np.bincount(l, weights=mats.f_val**2, minlength=mats.n) * beta / (2 * mats.N)
-    resid = np.linalg.norm(back - beta)
-    if resid > range_tol * (1.0 + np.linalg.norm(beta)):
-        return None, resid
-    return g, resid
 
 
 def _forward(mats, theta, gamma):
@@ -198,71 +182,35 @@ def reconstruct_general(A, beta, mats):
     )
 
 
-def reconstruct_symmetric(A, mats, beta=None, range_tol=1e-8):
+def reconstruct_symmetric(A, mats, range_tol=1e-8):
     """Recover (theta, gamma) with real symmetric gamma from A alone.
 
-    Inverts M with beta = 0 through the process matrix (module docstring)
-    and keeps theta and gamma only where the forward residual of the
-    antisymmetric (Hamiltonian) and symmetric (dissipative) part of A is
-    within range_tol (1 + its norm).  When the dissipative route fails but
-    a beta vector is supplied, the minimum-norm gamma from beta is
-    attempted as a fallback ('theta-and-beta-gamma').
+    Inverts M with beta = 0 through the process matrix (module docstring).
+    gamma always reproduces the symmetric part of A; theta is kept only
+    when the forward residual of the antisymmetric (Hamiltonian) part of A
+    is within range_tol (1 + its norm), else the status is 'gamma-only'.
     """
     if not mats.symmetric:
         raise ValueError("mats was built without the symmetric-mode block")
-    n = mats.n
     A = np.asarray(A, dtype=float)
-    A_d = 0.5 * (A + A.T)
-    A_l = 0.5 * (A - A.T)
-
-    theta, g = _invert(mats.G, A, np.zeros(n))
+    theta, g = _invert(mats.G, A, np.zeros(mats.n))
     gamma = 0.5 * (g.real + g.real.T)
-    A_chk, beta_chk = _forward(mats, theta, gamma)
-    resid_d = np.linalg.norm(0.5 * (A_chk + A_chk.T) - A_d)
-    if resid_d > range_tol * (1.0 + np.linalg.norm(A_d)):
-        gamma = None
+    A_chk, _ = _forward(mats, theta, gamma)
+    A_l = 0.5 * (A - A.T)
     resid_l = np.linalg.norm(0.5 * (A_chk - A_chk.T) - A_l)
     if resid_l > range_tol * (1.0 + np.linalg.norm(A_l)):
-        theta = None
-
-    notes = []
-    if gamma is not None and theta is not None:
-        status = "full"
-    elif gamma is not None:
-        status = "gamma-only"
-        notes.append("antisymmetric part outside the range of T1")
-    elif theta is not None:
-        if beta is not None:
-            gamma_fb, resid = _gamma_from_beta(mats, np.asarray(beta, dtype=float), range_tol)
-            if gamma_fb is not None:
-                gamma = gamma_fb.real
-                _, beta_chk = _forward(mats, theta, gamma)
-                status = "theta-and-beta-gamma"
-                notes.append(
-                    "symmetric part outside the range of T3; gamma is the "
-                    "minimum-norm solution from beta"
-                )
-            else:
-                status = "theta-only"
-                notes.append("symmetric part outside T3 range, beta outside fallback range")
-        else:
-            status = "theta-only"
-            notes.append("symmetric part outside the range of T3; no beta supplied")
-    else:
-        return RecoveredParams(status="not-recoverable", notes=["no block recoverable"])
-
-    residual_A = float(np.linalg.norm(A_chk - A)) if status == "full" else None
-    residual_beta = None
-    if beta is not None and gamma is not None:
-        residual_beta = float(np.linalg.norm(beta_chk - np.asarray(beta, dtype=float)))
+        return RecoveredParams(
+            status="gamma-only",
+            gamma=gamma,
+            hermiticity_defect=0.0,
+            notes=["antisymmetric part outside the range of T1"],
+        )
     return RecoveredParams(
-        status=status,
+        status="full",
         theta=theta,
         gamma=gamma,
-        residual_A=residual_A,
-        residual_beta=residual_beta,
-        hermiticity_defect=0.0 if gamma is not None else None,
-        notes=notes,
+        residual_A=float(np.linalg.norm(A_chk - A)),
+        hermiticity_defect=0.0,
     )
 
 

@@ -99,6 +99,37 @@ def symmetric_lstsq_reference(tensors, As, range_tol=1e-8):
     return out
 
 
+def single_rate_reference(model):
+    """[G_tau_i] of a multirate model by least squares between stacked
+    observability blocks, as `ldsrec.single_rate_models` computed them
+    before it telescoped the offset maps: Gamma_i = [C G^p G_i, p = 0..n]
+    and Gamma_{i-1} G_tau_i = Gamma_i, refused when Gamma_{i-1} is rank
+    deficient."""
+    n = model.order
+    C = model.C
+    times = model.times
+    powers = [C.copy()]
+    for _ in range(n):
+        powers.append(powers[-1] @ model.G)
+
+    def gamma_stack(i):
+        return np.vstack([P @ model.G_offsets[i] for P in powers])
+
+    G_taus = []
+    prev = gamma_stack(0)
+    for i in range(1, len(times)):
+        cur = gamma_stack(i)
+        if np.linalg.matrix_rank(prev) < n:
+            raise ValueError(
+                f"stacked observability block at offset {i - 1} is rank deficient; "
+                "single-rate extraction not possible"
+            )
+        Gt, *_ = np.linalg.lstsq(prev, cur, rcond=None)
+        G_taus.append(Gt)
+        prev = cur
+    return G_taus
+
+
 def stacked_map(tensors, dim):
     """The dense map M = [[T1, T2], [0, -(i/N) T1^T]] from (theta,
     vec(gamma)) to (vec(A), beta), written term by term as the `paramrec`
