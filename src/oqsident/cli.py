@@ -88,6 +88,8 @@ def _cmd_check(args):
         f"(obs {report.rank_obs}/{report.required_rank}, "
         f"ctrl {report.rank_ctrl}/{report.required_rank})"
     )
+    if report.channels is not None:
+        print(f"  driven channels: {list(report.channels)}")
     for clause in report.clauses:
         print(f"  clause: {clause}")
     if report.verdict:

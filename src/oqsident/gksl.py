@@ -248,14 +248,18 @@ def assemble_system(basis, tensors, params, observables=None):
     return CoherenceSystem(n=n, A_l=A_l, A_d=A_d, beta=beta, N_list=N_list, C=C)
 
 
-def embed_standard_form(sys):
-    """Embed an affine CoherenceSystem into homogeneous standard form."""
+def embed_standard_form(sys, channels=None):
+    """Embed an affine CoherenceSystem into homogeneous standard form.
+
+    `channels`, a sequence of control indices, keeps only those control
+    maps, in that order; the default keeps all of them."""
     n = sys.n
     A_emb = np.zeros((n + 1, n + 1))
     A_emb[:n, :n] = sys.A
     A_emb[:n, n] = sys.beta
-    N_emb = np.zeros((n, n + 1, n + 1))
-    N_emb[:, :n, :n] = sys.N_list
+    N_list = sys.N_list if channels is None else sys.N_list[list(channels)]
+    N_emb = np.zeros((len(N_list), n + 1, n + 1))
+    N_emb[:, :n, :n] = N_list
     C_emb = np.hstack([sys.C, np.zeros((sys.C.shape[0], 1))])
     x0_emb = np.concatenate([sys.x0, [1.0]])
     return EmbeddedSystem(n=n, A_emb=A_emb, N_list_emb=N_emb, C_emb=C_emb, x0_emb=x0_emb)

@@ -8,6 +8,8 @@ Four ingredient checks feed one report:
   control matrices and word length k <= n - 1 (k = 0 keeps b itself); the
   observable span applies transposed factors to the rows of C.  With no
   control matrices both spans reduce exactly to the linear Kalman ranks.
+  The controlled report takes only the control matrices of the channels
+  its pulses drive.
 * A rationality scan of sampling increment ratios.  Equal increments make
   eigenvalue aliases indistinguishable, so a rational ratio is a failure;
   irrationality of a float cannot be certified, only declared, so the
@@ -18,13 +20,16 @@ Four ingredient checks feed one report:
 
 The word-span computation expands only directions that are new at each
 length (a Krylov-style closure), so it is polynomial even though the
-word count it accounts for is combinatorial.  Each length applies every
-operator to the new directions in one product of the stacked operators,
-and the closure stops as soon as the span is full.  A hard cap on
-enumerated words guards pathological inputs; hitting the cap yields an
-explicit inconclusive status, never a silent truncation.  The rank tests
-take A as (n, n), each control as (n, n), seeds b as (n,) or (n, m) and C
-as (p, n) or (n,); any other shape raises ValueError naming both shapes.
+word count it accounts for is combinatorial.  A seed block that is
+already full rank, such as B = I or C = I in the autonomous report, is
+decided from its singular values alone, without singular vectors.  Each
+length applies every operator to the new directions in one product of
+the stacked operators, and the closure stops as soon as the span is
+full.  A hard cap on enumerated words guards pathological inputs;
+hitting the cap yields an explicit inconclusive status, never a silent
+truncation.  The rank tests take A as (n, n), each control as (n, n),
+seeds b as (n,) or (n, m) and C as (p, n) or (n,); any other shape
+raises ValueError naming both shapes.
 """
 
 from dataclasses import dataclass, field
@@ -92,14 +97,22 @@ def _word_span(ops, seeds, dim, word_cap):
 
     Returns (rank, status, words_applied).  Status is one of
     'full-rank', 'closed', 'depth-exhausted', 'inconclusive-below-cap';
-    only the last is non-conclusive.  The closure stops as soon as the
-    rank reaches dim, before orthogonalizing that level's images.  Each
-    level applies every operator in one product of the (k dim, dim)
-    operator stack, formed only once the seeds fall short of full rank.
+    only the last is non-conclusive.  A seed block with at least dim
+    columns is first ranked from its singular values alone, and returns
+    at once when that rank is dim; a narrower block, or a wide one short
+    of full rank, takes one SVD with vectors for its basis.  The closure
+    stops as soon as the rank reaches dim, before orthogonalizing that
+    level's images.  Each level applies every operator in one product of
+    the (k dim, dim) operator stack, formed only once the seeds fall
+    short of full rank.
     """
     seeds = _normalize_columns(np.atleast_2d(seeds))
     if seeds.shape[1] == 0:
         return 0, "closed", 0
+    if seeds.shape[1] >= dim:
+        s = np.linalg.svd(seeds, compute_uv=False)
+        if np.sum(s > max(seeds.shape) * _EPS * s[0]) == dim:
+            return dim, "full-rank", 0
     U, s, _ = np.linalg.svd(seeds, full_matrices=False)
     r = int(np.sum(s > max(seeds.shape) * _EPS * s[0]))
     if r == dim:
@@ -296,8 +309,9 @@ def persistency_check(samples, L=None, kind="input"):
     the block Hankel matrix of depth L must have full row rank L*m.
     Requires T - L + 1 >= L columns.
 
-    kind='state': samples holds state snapshots as columns; the matrix of
-    the first n columns must have rank n (n = state dimension).
+    kind='state': samples holds state snapshots as columns, at least n of
+    them (n = state dimension); the matrix of all the snapshots must have
+    rank n.
 
     Returns a plain bool.
     """
@@ -397,6 +411,7 @@ class IdentifiabilityReport:
     sampling: SamplingPolicyReport = None
     pulses_ok: bool = None
     clauses: list = field(default_factory=list)
+    channels: tuple = None  # controlled mode: the driven control channels
 
 
 def _affine_seed(b, n):
@@ -420,7 +435,9 @@ def identifiability_report(
     initial state, which is the regime where the linear test applies.
 
     mode='controlled': pulse family check plus the bilinear word-span
-    ranks.  When the system has a nonzero affine offset the spans are
+    ranks of A and the control maps of the channels the pulses drive,
+    `channels` in the report; a pulse channel out of range raises
+    ValueError.  When the system has a nonzero affine offset the spans are
     evaluated on the standard-form embedding with seed [x0; 1]; otherwise
     on the bare system with seed b (default x0).
 
@@ -455,16 +472,23 @@ def identifiability_report(
     if mode == "controlled":
         if pulses is None:
             raise ValueError("controlled mode requires a pulse family")
+        pulses = list(pulses)
+        channels = tuple(sorted({int(p.channel) for p in pulses}))
+        bad = [c for c in channels if not 0 <= c < len(system.N_list)]
+        if bad:
+            raise ValueError(
+                f"pulse channels {bad} out of range for {len(system.N_list)} control maps"
+            )
         pulses_ok, clauses = pulse_family_check(pulses)
         if np.linalg.norm(system.beta) > 1e-12:
-            emb = embed_standard_form(system)
+            emb = embed_standard_form(system, channels)
             A, N_list, C = emb.A_emb, emb.N_list_emb, emb.C_emb
             if b is None:
                 seed = emb.x0_emb
             else:
                 seed = _affine_seed(np.asarray(b, dtype=float), system.n)
         else:
-            A, N_list, C = system.A, system.N_list, system.C
+            A, N_list, C = system.A, system.N_list[list(channels)], system.C
             seed = system.x0 if b is None else np.asarray(b, dtype=float)
         if np.linalg.norm(seed) == 0:
             clauses.append("seed state is zero")
@@ -472,12 +496,12 @@ def identifiability_report(
         if span.rank_ctrl < span.dim:
             clauses.append(
                 f"controllable span rank deficient ({span.rank_ctrl}/{span.dim},"
-                f" status {span.status_ctrl})"
+                f" status {span.status_ctrl}, channels {list(channels)})"
             )
         if span.rank_obs < span.dim:
             clauses.append(
                 f"observable span rank deficient ({span.rank_obs}/{span.dim},"
-                f" status {span.status_obs})"
+                f" status {span.status_obs}, channels {list(channels)})"
             )
         inconclusive = not span.conclusive
         if inconclusive:
@@ -491,6 +515,7 @@ def identifiability_report(
             rank_ctrl=span.rank_ctrl,
             pulses_ok=pulses_ok,
             clauses=clauses,
+            channels=channels,
         )
 
     raise ValueError("mode must be 'autonomous' or 'controlled'")

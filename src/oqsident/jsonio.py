@@ -376,6 +376,8 @@ def write_report(path, report):
         "pulses_ok": report.pulses_ok,
         "clauses": report.clauses,
     }
+    if report.channels is not None:
+        doc["channels"] = [int(c) + 1 for c in report.channels]
     if report.sampling is not None:
         doc["sampling"] = {
             "ok": report.sampling.ok,
@@ -424,6 +426,7 @@ def read_report(path):
         sampling=sampling,
         pulses_ok=doc.get("pulses_ok"),
         clauses=list(doc.get("clauses", [])),
+        channels=None if "channels" not in doc else tuple(c - 1 for c in doc["channels"]),
     )
 
 

@@ -161,7 +161,9 @@ def test_check_controlled_mode(workdir, capsys):
     code = main(["check", "--system", str(paths["system"]),
                  "--mode", "controlled", "--pulses", str(paths["pulses"])])
     assert code == 2
-    assert "seed state is zero" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "seed state is zero" in out
+    assert "driven channels: [0]" in out
 
 
 def test_error_exit_codes(workdir, tmp_path, capsys):

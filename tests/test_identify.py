@@ -29,6 +29,7 @@ from oqsident import (
     make_pulse_family,
     persistency_check,
     pulse_family_check,
+    rho_to_coherence,
     sampling_policy_check,
     structure_constants,
 )
@@ -72,6 +73,24 @@ def test_linear_rank_wide_spectrum_full():
     assert res.rank_obs == 15 and res.rank_ctrl == 15
     res = linear_rank_test(A, np.ones((15, 1)), np.ones((1, 15)))
     assert res.observable and res.controllable
+
+
+@pytest.mark.parametrize("n", [15, 63])
+def test_full_rank_seed_blocks_take_no_singular_vectors(n, monkeypatch):
+    # B = I and C = I, as the autonomous report seeds them, are decided
+    # from their singular values alone
+    compute_uv = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        compute_uv.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    A = np.random.default_rng(n).normal(size=(n, n))
+    res = linear_rank_test(A, np.eye(n), np.eye(n))
+    assert res.rank_ctrl == res.rank_obs == n
+    assert compute_uv == [False, False]
 
 
 def test_bilinear_span_agrees_with_brute_force():
@@ -154,15 +173,14 @@ def low_rank(rng, rows, cols, rank):
     dim=st.integers(2, 8),
     controls=st.integers(0, 3),
     block=st.booleans(),
-    seed_cols=st.integers(1, 3),
-    seed_rank=st.integers(1, 3),
-    readout_rows=st.integers(1, 4),
-    readout_rank=st.integers(1, 4),
     word_cap=st.one_of(st.none(), st.integers(1, 30)),
+    data=st.data(),
 )
-def test_bilinear_span_matches_reference_closure(
-    seed, dim, controls, block, seed_cols, seed_rank, readout_rows, readout_rank, word_cap
-):
+def test_bilinear_span_matches_reference_closure(seed, dim, controls, block, word_cap, data):
+    # seed blocks and readouts up to dim + 2 wide: wide blocks of full
+    # rank return before any SVD with vectors, rank-deficient ones do not
+    wide = st.integers(1, dim + 2)
+    seed_cols, seed_rank, readout_rows, readout_rank = (data.draw(wide) for _ in range(4))
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim))
     N_list = rng.normal(size=(controls, dim, dim))
@@ -363,6 +381,9 @@ def test_persistency_states():
     rng = np.random.default_rng(113)
     X = rng.normal(size=(3, 5))
     assert persistency_check(X, kind="state") is True
+    # the first n snapshots are dependent, all of them still span
+    X[:, 2] = X[:, 0] - X[:, 1]
+    assert persistency_check(X, kind="state") is True
     X[2] = X[0] + X[1]
     assert persistency_check(X, kind="state") is False
     with pytest.raises(ValueError):
@@ -529,13 +550,13 @@ def _random_hermitian_system(num_qubits, seed):
     return assemble_system(basis, structure_constants(basis), params)
 
 
-@pytest.mark.parametrize("num_qubits", [2, 3])
+@pytest.mark.parametrize("num_qubits", [2, 3, 4])
 def test_report_controlled_multi_qubit_full(num_qubits):
     sys = _random_hermitian_system(num_qubits, seed=40 + num_qubits)
     assert np.linalg.norm(sys.beta) > 1e-3
     fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
     rep = identifiability_report(sys, mode="controlled", pulses=fam)
-    dim = sys.n + 1  # embedded: 16 at 2 qubits, 64 at 3
+    dim = sys.n + 1  # embedded: 16 at 2 qubits, 64 at 3, 256 at 4
     assert rep.required_rank == dim == 4**num_qubits
     assert rep.rank_ctrl == dim and rep.rank_obs == dim
     assert rep.verdict is True and not rep.inconclusive
@@ -566,6 +587,43 @@ def test_controlled_two_qubit_first_qubit_span_closes():
     assert (res.rank_ctrl, res.status_ctrl) == (13, "closed")
     assert (res.rank_obs, res.status_obs) == (16, "full-rank")
     assert not res.full and res.conclusive
+
+
+def _idle_two_qubit_system():
+    # zero drift, x0 from |00><00|
+    basis = build_basis(2)
+    n = basis.n
+    params = GkslParams(theta=np.zeros(n), gamma=np.zeros((n, n)), symmetric=True)
+    sys = assemble_system(basis, structure_constants(basis), params)
+    sys.x0 = rho_to_coherence(np.diag([1.0, 0.0, 0.0, 0.0]), basis)
+    return sys
+
+
+def test_report_controlled_spans_only_driven_channels():
+    sys = _idle_two_qubit_system()
+    fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
+    rep = identifiability_report(sys, mode="controlled", pulses=fam)
+    # channel 0 alone rotates |00> within a 3-dimensional subspace
+    assert rep.channels == (0,)
+    assert rep.verdict is False and not rep.inconclusive
+    assert (rep.rank_ctrl, rep.rank_obs, rep.required_rank) == (3, 15, 15)
+    assert rep.clauses == [
+        "controllable span rank deficient (3/15, status closed, channels [0])"
+    ]
+    # driving every channel reaches the whole space
+    every = [Pulse(tau=t, alpha=0.8, channel=c) for c in range(sys.n) for t in (0.1, 0.25)]
+    rep = identifiability_report(sys, mode="controlled", pulses=every)
+    assert rep.channels == tuple(range(sys.n))
+    assert rep.verdict is True and rep.rank_ctrl == 15
+
+
+@pytest.mark.parametrize("channel", [15, -1])
+def test_report_controlled_rejects_channel_out_of_range(channel):
+    sys = _idle_two_qubit_system()
+    fam = make_pulse_family(0.8, [0.1, 0.25], channel=channel)
+    message = re.escape(f"pulse channels [{channel}] out of range for 15 control maps")
+    with pytest.raises(ValueError, match=message):
+        identifiability_report(sys, mode="controlled", pulses=fam)
 
 
 def test_report_autonomous_golden_passes():

@@ -259,6 +259,7 @@ def test_report_round_trip_autonomous(tmp_path):
     ]
     doc = json.loads(path.read_text())
     assert doc["sampling"]["pairs"][0]["i"] == 1  # 1-based on disk
+    assert rep2.channels is None and "channels" not in doc
 
 
 def test_report_round_trip_controlled(tmp_path):
@@ -271,6 +272,13 @@ def test_report_round_trip_controlled(tmp_path):
     assert rep2.verdict == rep.verdict
     assert rep2.pulses_ok == rep.pulses_ok
     assert rep2.sampling is None
+    assert rep2.channels == rep.channels == (0,)
+    doc = json.loads(path.read_text())
+    assert doc["channels"] == [1]  # 1-based on disk
+    # a report/1 file written before the channel list reads as None
+    del doc["channels"]
+    path.write_text(json.dumps(doc))
+    assert read_report(path).channels is None
 
 
 def test_params_hat_round_trip(one_qubit, tmp_path):
