@@ -20,23 +20,28 @@ with
 `drift` is the one implementation of this forward map; `assemble_system`
 and the residual checks of `paramrec` both call it.  A_l, beta and N_c
 are scattered from the sparse structure constants.  A_d goes through the
-process matrix (Wolf, Eisert, Cubitt & Cirac, PRL 101, 150402, 2008):
-with the generator stack reshaped to the (n, N^2) matrix Fm, the jumps
-are a reshuffle of Fm^T gamma Fm, the anticommutator with
-K = sum_jk gamma_jk F_k F_j is added on two diagonals, and A_d is
-Fm X Fm^T; O(N^6), against O(N^8) for the f/z contraction that the tests
-keep as the oracle.  For real symmetric gamma beta vanishes and A_d is
-symmetric, so A = A_l + A_d splits into its antisymmetric and symmetric
-parts.
+process matrix (Wolf, Eisert, Cubitt & Cirac, PRL 101, 150402, 2008) and
+the Walsh-Hadamard tables of `liealg.pauli_transform`: the jumps
+sum_jk gamma_jk F_j rho F_k become the superoperator array P by one
+gather, two real GEMMs of the N x N Hadamard matrix and one gather; the
+anticommutator with K = sum_jk gamma_jk F_k F_j (a trace of P) is added
+on two diagonals of P; and A_d is read off P's Pauli transfer matrix by
+the same four steps in reverse.  That is O(N^5), against O(N^6) for the
+dense products with the (N^2, N^2) word stack and O(N^8) for the f/z
+contraction; the tests keep both as oracles.  For real symmetric gamma
+beta vanishes and A_d is symmetric, so A = A_l + A_d splits into its
+antisymmetric and symmetric parts.
 
 `liouvillian_superoperator` returns L on column-stacked density
-matrices, vec(A X B) = (B^T kron A) vec(X), built by the same reshuffle.
+matrices, vec(A X B) = (B^T kron A) vec(X), a transpose of the same P.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .liealg import pauli_transform
 
 
 @dataclass
@@ -139,42 +144,41 @@ class EmbeddedSystem:
     x0_emb: np.ndarray
 
 
-def _generator(F, gamma, H=None):
-    """L of (H, gamma) as an (N, N, N, N) array X[q, p, r, s] =
-    d L(rho)[p, q] / d rho[r, s] (H = 0 when None); a view of a new array."""
-    n, N = F.shape[0], F.shape[1]
-    Fm = F.reshape(n, N * N)
-    # P[p, r, s, q] = sum_jk gamma_jk F_j[p, r] F_k[s, q]
-    P = (Fm.T @ gamma @ Fm).reshape(N, N, N, N)
+def _generator(transform, gamma, H=None):
+    """L of (H, gamma) as its (N, N, N, N) superoperator array P with
+    L(rho)[p, q] = sum_rs P[p, r, s, q] rho[r, s] (H = 0 when None)."""
+    N = transform.N
+    c = np.zeros((N * N, N * N), dtype=complex)
+    c[1:, 1:] = gamma
+    P = transform.superop(c)  # sum_jk gamma_jk F_j rho F_k
     K = np.trace(P, axis1=0, axis2=3).T
     left = -0.5 * K  # L(rho) = left rho + rho right + jumps
     right = -0.5 * K
     if H is not None:
         left = left - 1j * H
         right = right + 1j * H
-    X = P.transpose(3, 0, 1, 2)
-    d = np.arange(N)
-    X[d, :, :, d] += left  # X[q, p, r, q] += left[p, r]
-    X[:, d, d, :] += right.T[:, None, :]  # X[q, p, p, s] += right[s, q]
-    return X
+    P.reshape(N, N, N * N)[:, :, :: N + 1] += left[:, :, None]  # P[p, r, q, q] += left[p, r]
+    P.reshape(N * N, N, N)[:: N + 1] += right  # P[p, p, s, q] += right[s, q]
+    return P
 
 
-def drift(F, f_ind, f_val, theta, gamma):
-    """The forward map (theta, gamma) -> (A_l, A_d, beta) on the (n, N, N)
-    generator stack F and the sparse structure constants (f_ind, f_val).
+def drift(transform, f_ind, f_val, theta, gamma):
+    """The forward map (theta, gamma) -> (A_l, A_d, beta) through the
+    `liealg.PauliTransform` of the basis and its sparse structure
+    constants (f_ind, f_val).
 
     beta holds only Im(gamma), so it is exactly zero for real gamma.  A_d
     is returned complex; for Hermitian gamma its imaginary part is
     rounding residue.
     """
-    n, N = F.shape[0], F.shape[1]
-    j, k, l = f_ind.T
-    A_l = np.zeros((n, n))
-    A_l[j, k] = -f_val * theta[l]
-    beta = np.bincount(l, weights=f_val * gamma[j, k].imag, minlength=n) / -N
-    Fm = F.reshape(n, N * N)
-    A_d = Fm @ (_generator(F, gamma).reshape(N * N, N * N) @ Fm.T)
-    return A_l, A_d, beta
+    n, N = len(theta), transform.N
+    jk = f_ind[:, 0] * n + f_ind[:, 1]
+    l = f_ind[:, 2]
+    A_l = np.zeros(n * n)
+    A_l[jk] = -f_val * theta[l]
+    beta = np.bincount(l, weights=f_val * gamma.reshape(-1)[jk].imag, minlength=n) / -N
+    A_d = transform.transfer(_generator(transform, gamma))[1:, 1:]
+    return A_l.reshape(n, n), A_d, beta
 
 
 def assemble_system(basis, tensors, params, observables=None):
@@ -183,8 +187,9 @@ def assemble_system(basis, tensors, params, observables=None):
     Parameters
     ----------
     basis : liealg.LieBasis
-        Must be the normalized basis; the coefficient formulas assume
-        trace orthonormality.
+        Must be the normalized Pauli word basis, as `build_basis` returns
+        it; the coefficient formulas assume trace orthonormality and A_d
+        uses the word tables of `liealg.pauli_transform`.
     tensors : liealg.StructureTensors
         Structure constants of `basis`.
     params : GkslParams
@@ -209,7 +214,9 @@ def assemble_system(basis, tensors, params, observables=None):
 
     N = basis.dim
     F, f_ind, f_val = basis.generators, tensors.f_ind, tensors.f_val
-    A_l, A_d, beta = drift(F, f_ind, f_val, params.theta, params.gamma)
+    A_l, A_d, beta = drift(
+        pauli_transform(basis.num_qubits), f_ind, f_val, params.theta, params.gamma
+    )
     res = np.max(np.abs(A_d.imag))
     if res >= 1e-10:
         raise ValueError(f"dissipative block has imaginary residue {res:.3e}")
@@ -271,7 +278,8 @@ def liouvillian_superoperator(basis, params, u=None):
     Uses vec(A X B) = (B^T kron A) vec(X), i.e. numpy reshape with
     order='F' on the density matrix.  Controls enter as an extra
     Hamiltonian sum_c u_c F_c at a frozen instant; pass the momentary
-    amplitude vector as `u`.
+    amplitude vector as `u`.  `basis` is a Pauli word basis, normalized
+    or raw, as `build_basis` returns it.
 
     Returns the (N^2, N^2) complex matrix L with d vec(rho)/dt = L vec(rho).
     """
@@ -280,8 +288,11 @@ def liouvillian_superoperator(basis, params, u=None):
     N = basis.dim
     coeff = params.theta if u is None else params.theta + np.asarray(u, dtype=float)
     H = np.tensordot(coeff, F, axes=1)
-    # X[q, p, r, s] is L at row p + N q and column r + N s
-    return _generator(F, params.gamma, H).transpose(0, 1, 3, 2).reshape(N * N, N * N)
+    # raw words are sqrt(N) times the normalized ones
+    gamma = params.gamma if basis.normalized else N * params.gamma
+    P = _generator(pauli_transform(basis.num_qubits), gamma, H)
+    # P[p, r, s, q] is L at row p + N q and column r + N s
+    return P.transpose(3, 0, 2, 1).reshape(N * N, N * N)
 
 
 def rho_to_coherence(rho, basis):

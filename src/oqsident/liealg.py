@@ -25,11 +25,17 @@ Conventions used throughout the package:
   two indices with g_jjl = 0.  For a Pauli word basis both tensors are very
   sparse: for fixed (j, k) at most one l carries a nonzero f and at most one
   l carries a nonzero g.
+* Every normalized word, the identity included, is a phased signed
+  permutation: G_a[p, p ^ x_a] = w_a H[z_a, p] / sqrt(N), with H the
+  Sylvester Walsh-Hadamard matrix and w_a a power of -i.  `PauliTransform`
+  uses this to move between process matrices, superoperators and Pauli
+  transfer matrices in O(N^5) (see `pauli_transform`).
 
 All indices in the Python API are 0-based.  The JSON interchange layer
 converts to 1-based records.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -242,6 +248,111 @@ def structure_constants(basis):
     fi, fv = _coo(f)
     gi, gv = _coo(g)
     return StructureTensors(n=len(words), f_ind=fi, f_val=fv, g_ind=gi, g_val=gv)
+
+
+@dataclass(frozen=True)
+class PauliTransform:
+    """Walsh-Hadamard tables of the q-qubit normalized word stack
+    G_0 = I/sqrt(N), G_1 .. G_n (identity first, `pauli_words` order).
+
+    `superop` and `transfer` are the dense products Gm^T c Gm and
+    Gm X Gm^T with the (N^2, N^2) reshaped stack Gm, each factored as a
+    gather, two real GEMMs of H against an (N, 2N^3) array and a gather:
+    O(N^5) against O(N^6).  Between the gathers a word pair (a, b) sits at
+    (z_a, z_b, x_a, x_b), the Hadamard layout, so that both GEMMs contract
+    a leading axis.  Every table is shaped as the array it produces.
+
+    Attributes
+    ----------
+    N : int
+    H : ndarray, shape (N, N)
+        Sylvester Walsh-Hadamard matrix, H[z, p] = (-1)^popcount(z & p).
+    words : ndarray, shape (N, N^3)
+        Flat index of the word pair at each Hadamard-layout position.
+    phases : ndarray, shape (N, N^3)
+        w_a w_b / N at each Hadamard-layout position: a power of i over N,
+        exact, where two factors of 1/sqrt(N) would each be rounded.
+    pairs : ndarray, shape (N^2, N^2)
+        Hadamard-layout position of each word pair; the inverse of `words`.
+    superop_index : ndarray, shape (N, N, N, N)
+        Position (p, s, p ^ r, s ^ q) of the superoperator entry [p, r, s, q].
+    transfer_index : ndarray, shape (N, N^3)
+        Superoperator entry [q ^ x_a, r, r ^ x_b, q] at position (q, r, x_a, x_b).
+    """
+
+    N: int
+    H: np.ndarray
+    words: np.ndarray
+    phases: np.ndarray
+    pairs: np.ndarray
+    superop_index: np.ndarray
+    transfer_index: np.ndarray
+
+    def _hadamard(self, A):
+        """Contract the first two of the four N-long axes of the complex
+        (N, N^3) array A with H, as two real GEMMs on its float view."""
+        N, H = self.N, self.H
+        A = (H @ A.view(float)).reshape(N, N, -1)
+        return np.matmul(H, A).reshape(N, -1).view(complex)
+
+    def superop(self, c):
+        """(N, N, N, N) array P[p, r, s, q] = sum_ab c_ab G_a[p, r] G_b[s, q]
+        of the (N^2, N^2) matrix c, so that L(rho) = sum_ab c_ab G_a rho G_b
+        is L(rho)[p, q] = sum_rs P[p, r, s, q] rho[r, s]."""
+        A = self._hadamard(c.reshape(-1)[self.words] * self.phases)
+        return A.reshape(-1)[self.superop_index]
+
+    def transfer(self, P):
+        """(N^2, N^2) matrix R[j, k] = Tr(G_j L(G_k)), the Pauli transfer
+        matrix of the superoperator L(rho)[p, q] = sum_rs P[p, r, s, q]
+        rho[r, s] given by the complex array P.  transfer(superop(.)) is an
+        involution: it maps a process matrix to its transfer matrix and
+        back."""
+        A = self._hadamard(P.reshape(-1)[self.transfer_index]) * self.phases
+        return A.reshape(-1)[self.pairs]
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_transform(num_qubits):
+    """The `PauliTransform` of `num_qubits` qubits, built once and cached.
+
+    Each symbol is w Z^z X^x with (x, z, w) read off `_PAULI` (sigma_y =
+    -i Z X); a word's x, z and w are the bit strings and the product of its
+    symbols' values, qubit 0 most significant.  The tables are read-only.
+    """
+    N = 2**num_qubits
+    sym = []
+    for s in _SYMBOLS:
+        x = int(np.argmax(np.abs(_PAULI[s][0])))
+        w = _PAULI[s][0, x]
+        sym.append((x, int(_PAULI[s][1, 1 ^ x] == -w), w))
+    xs, zs, ws = (np.array(v) for v in zip(*sym))
+    x, z, w = np.zeros(1, int), np.zeros(1, int), np.ones(1, complex)
+    H = np.ones((1, 1))
+    for _ in range(num_qubits):
+        x = (2 * x[:, None] + xs).ravel()
+        z = (2 * z[:, None] + zs).ravel()
+        w = (w[:, None] * ws).ravel()
+        H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+    word = np.empty((N, N), dtype=int)  # word[z, x] is the word index
+    word[z, x] = np.arange(N * N)
+    phase = np.empty((N, N), dtype=complex)
+    phase[z, x] = w
+    a, b, c, d = np.ix_(*[np.arange(N)] * 4)
+    words = (word[a, c] * N * N + word[b, d]).reshape(N, -1)
+    pairs = np.empty(N**4, dtype=int)
+    pairs[words.reshape(-1)] = np.arange(N**4)
+    tables = dict(
+        H=H,
+        words=words,
+        phases=(phase[a, c] * phase[b, d] / N).reshape(N, -1),
+        pairs=pairs.reshape(N * N, -1),
+        superop_index=((a * N + c) * N + (a ^ b)) * N + (c ^ d),
+        transfer_index=((((a ^ c) * N + b) * N + (b ^ d)) * N + a).reshape(N, -1),
+    )
+    for v in tables.values():
+        v.flags.writeable = False
+    return PauliTransform(N=N, **tables)
 
 
 @dataclass

@@ -19,6 +19,11 @@ of L, and the coefficients c_ij of L rho = sum_ij c_ij G_i rho G_j give
     theta_j = Tr(F_j H) = -Im(c_j0) / sqrt(N),
 
 with H = (K^H - K)/(2i) and K = c_00/(2N) I + sum_i c_i0 G_i / sqrt(N).
+The map from c to R, read as a superoperator and then as a transfer
+matrix, is an involution, so c comes from R by the same two factored
+Walsh-Hadamard products that `gksl.drift` uses forward
+(`liealg.PauliTransform`): O(N^5), against O(N^6) for the dense products
+with the (N^2, N^2) word stack that the tests keep as the oracle.
 M is invertible for every basis, so the inverse has no threshold; its
 singular values are known in closed form (`_m_singular_values`).
 
@@ -37,22 +42,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gksl import drift
-from .liealg import _word_stack, pauli_words
+from .liealg import PauliTransform, pauli_transform
 
 
 @dataclass
 class ReconstructionMatrices:
     """Per-basis data of the two recovery routes.
 
-    Both routes invert through G, the (N^2, N, N) stack [I/sqrt(N), F_1,
-    ..., F_n], and check residuals with the forward map on G[1:] and the
+    Both routes invert through the Walsh-Hadamard tables `transform` of
+    the stack [I/sqrt(N), F_1, ..., F_n] (shared by every basis of the
+    same size) and check residuals with the forward map on them and the
     sparse structure constants (f_ind, f_val).  general and symmetric
     record the routes the data were prepared for.
     """
 
     n: int
     N: int
-    G: np.ndarray
+    transform: PauliTransform
     f_ind: np.ndarray
     f_val: np.ndarray
     general: bool
@@ -70,10 +76,9 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
     general, symmetric : bool
         Which reconstruction routes to prepare.
     """
-    q = int(dim).bit_length() - 1
-    G = _word_stack(["I" * q] + pauli_words(q), 1.0 / np.sqrt(dim))
+    transform = pauli_transform(int(dim).bit_length() - 1)
     return ReconstructionMatrices(
-        tensors.n, dim, G, tensors.f_ind, tensors.f_val, general, symmetric
+        tensors.n, dim, transform, tensors.f_ind, tensors.f_val, general, symmetric
     )
 
 
@@ -105,27 +110,30 @@ class RecoveredParams:
 
 def _forward(mats, theta, gamma):
     """gksl.drift on the generator stack held by mats: (A, beta), real."""
-    A_l, A_d, beta = drift(mats.G[1:], mats.f_ind, mats.f_val, theta, gamma)
+    A_l, A_d, beta = drift(mats.transform, mats.f_ind, mats.f_val, theta, gamma)
     return A_l + A_d.real, beta.real
 
 
-def _invert(G, A, beta):
+def _invert(transform, A, beta):
     """theta and c[1:, 1:] of the process matrix c (L rho = sum_ij c_ij
     G_i rho G_j) of the Pauli transfer matrix R = [[0, 0], [sqrt(N) beta, A]].
 
-    With Gm the (N^2, N^2) reshaped stack (orthonormal and Hermitian),
-    Y = Gm^T R Gm holds d L(rho)[p, q] / d rho[r, s] at [(p, q), (s, r)];
-    its reshuffle Z[(r, p), (q, s)] is sum_ij c_ij G_i[p, r] G_j[s, q],
-    so c = Gm Z Gm^T.
+    R read as a process matrix has the superoperator P[p, r, s, q] =
+    sum_ij R_ij G_i[p, r] G_j[s, q], whose transfer matrix is c.
     """
-    N2, N = G.shape[0], G.shape[1]
-    Gm = G.reshape(N2, N2)
-    R = np.zeros((N2, N2))
-    R[1:, 0] = np.sqrt(N) * beta
+    N = transform.N
+    s = np.sqrt(N)
+    R = np.zeros((N * N, N * N))
+    R[1:, 0] = s * beta
     R[1:, 1:] = A
-    Z = (Gm.T @ R @ Gm).reshape(N, N, N, N).transpose(3, 0, 1, 2).reshape(N2, N2)
-    c = Gm @ Z @ Gm.T
-    return -c[1:, 0].imag / np.sqrt(N), c[1:, 1:]
+    c = transform.transfer(transform.superop(R))
+    return c[1:, 0].imag / -s, c[1:, 1:]
+
+
+def _check_finite(**arrays):
+    for name, value in arrays.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} holds non-finite entries")
 
 
 def _m_singular_values(N):
@@ -155,7 +163,7 @@ def reconstruct_general(A, beta, mats):
     Inverts M in closed form through the process matrix c (module
     docstring), no solve.  gamma is the Hermitian part of c[1:, 1:], whose
     distance from Hermitian is reported; real (A, beta) make c Hermitian
-    up to rounding.
+    up to rounding.  Wrong shapes and non-finite entries raise ValueError.
     """
     if not mats.general:
         raise ValueError("mats was built without the general-mode blocks")
@@ -167,7 +175,8 @@ def reconstruct_general(A, beta, mats):
             f"expected A of shape {(n, n)} and beta of shape {(n,)}, "
             f"got {A.shape} and {beta.shape}"
         )
-    theta, g = _invert(mats.G, A, beta)
+    _check_finite(A=A, beta=beta)
+    theta, g = _invert(mats.transform, A, beta)
     gamma = 0.5 * (g + g.conj().T)
     A_chk, beta_chk = _forward(mats, theta, gamma)
     values, _ = _m_singular_values(N)
@@ -189,11 +198,16 @@ def reconstruct_symmetric(A, mats, range_tol=1e-8):
     gamma always reproduces the symmetric part of A; theta is kept only
     when the forward residual of the antisymmetric (Hamiltonian) part of A
     is within range_tol (1 + its norm), else the status is 'gamma-only'.
+    An A that is not (n, n) or holds a non-finite entry raises ValueError.
     """
     if not mats.symmetric:
         raise ValueError("mats was built without the symmetric-mode block")
+    n = mats.n
     A = np.asarray(A, dtype=float)
-    theta, g = _invert(mats.G, A, np.zeros(mats.n))
+    if A.shape != (n, n):
+        raise ValueError(f"expected A of shape {(n, n)}, got {A.shape}")
+    _check_finite(A=A)
+    theta, g = _invert(mats.transform, A, np.zeros(n))
     gamma = 0.5 * (g.real + g.real.T)
     A_chk, _ = _forward(mats, theta, gamma)
     A_l = 0.5 * (A - A.T)

@@ -197,3 +197,55 @@ def word_span_reference(ops, seeds, dim, word_cap):
 
     status = "full-rank" if basis.shape[1] == dim else "depth-exhausted"
     return basis.shape[1], status, words
+
+
+def word_stack(basis):
+    """The (N^2, N, N) normalized word stack G = [I/sqrt(N), F_1, ..., F_n]."""
+    return np.concatenate([basis.identity[None], basis.generators])
+
+
+def generator_dense(F, gamma, H=None):
+    """L of (H, gamma) on the (n, N, N) stack F as an (N, N, N, N) array
+    X[q, p, r, s] = d L(rho)[p, q] / d rho[r, s] (H = 0 when None), by the
+    dense (N^2, N^2) product Fm^T gamma Fm and one reshuffle, O(N^6).  This
+    is how `gksl` built the superoperator before the Walsh-Hadamard tables;
+    kept as their oracle."""
+    n, N = F.shape[0], F.shape[1]
+    Fm = F.reshape(n, N * N)
+    # P[p, r, s, q] = sum_jk gamma_jk F_j[p, r] F_k[s, q]
+    P = (Fm.T @ gamma @ Fm).reshape(N, N, N, N)
+    K = np.trace(P, axis1=0, axis2=3).T
+    left = -0.5 * K  # L(rho) = left rho + rho right + jumps
+    right = -0.5 * K
+    if H is not None:
+        left = left - 1j * H
+        right = right + 1j * H
+    X = P.transpose(3, 0, 1, 2)
+    d = np.arange(N)
+    X[d, :, :, d] += left  # X[q, p, r, q] += left[p, r]
+    X[:, d, d, :] += right.T[:, None, :]  # X[q, p, p, s] += right[s, q]
+    return X
+
+
+def dissipator_dense(F, gamma):
+    """A_d[j, k] = Tr(F_j D(F_k)) as Fm X Fm^T with X from
+    `generator_dense`: the dense process-matrix forward map, O(N^6)."""
+    n, N = F.shape[0], F.shape[1]
+    Fm = F.reshape(n, N * N)
+    return Fm @ (generator_dense(F, gamma).reshape(N * N, N * N) @ Fm.T)
+
+
+def invert_dense(G, A, beta):
+    """theta and c[1:, 1:] of the process matrix c of the Pauli transfer
+    matrix R = [[0, 0], [sqrt(N) beta, A]] on the stack G of `word_stack`,
+    by four dense (N^2, N^2) products, O(N^6): Y = Gm^T R Gm holds
+    d L(rho)[p, q] / d rho[r, s] at [(p, q), (s, r)], its reshuffle
+    Z[(r, p), (q, s)] is sum_ij c_ij G_i[p, r] G_j[s, q], and c = Gm Z Gm^T."""
+    N2, N = G.shape[0], G.shape[1]
+    Gm = G.reshape(N2, N2)
+    R = np.zeros((N2, N2))
+    R[1:, 0] = np.sqrt(N) * beta
+    R[1:, 1:] = A
+    Z = (Gm.T @ R @ Gm).reshape(N, N, N, N).transpose(3, 0, 1, 2).reshape(N2, N2)
+    c = Gm @ Z @ Gm.T
+    return -c[1:, 0].imag / np.sqrt(N), c[1:, 1:]

@@ -112,6 +112,20 @@ def test_liouvillian_agrees_with_direct_rhs():
     assert np.allclose(L @ rho.flatten(order="F"), drho.flatten(order="F"), atol=1e-12)
 
 
+def test_liouvillian_on_raw_basis_agrees_with_direct_rhs():
+    # raw words are sqrt(N) times the normalized ones, so the same gamma
+    # means N times the dissipation
+    basis = build_basis(2, normalized=False)
+    rng = np.random.default_rng(27)
+    params = GkslParams(
+        theta=rng.normal(size=basis.n), gamma=random_hermitian_gamma(rng, basis.n)
+    )
+    L = liouvillian_superoperator(basis, params)
+    rho = random_state(rng, basis.dim)
+    drho = gksl_rhs(basis, params, rho)
+    assert np.allclose(L @ rho.flatten(order="F"), drho.flatten(order="F"), atol=1e-12)
+
+
 def test_liouvillian_with_control_offset():
     basis = build_basis(1)
     rng = np.random.default_rng(29)
@@ -126,8 +140,9 @@ def test_liouvillian_with_control_offset():
 
 
 def test_symmetric_gamma_gives_zero_beta_and_symmetric_drift():
+    # beta carries only Im(gamma), so it is exactly zero, not rounding
     rng = np.random.default_rng(31)
-    for num_qubits in (1, 2):
+    for num_qubits in (1, 2, 3):
         basis = build_basis(num_qubits)
         tensors = structure_constants(basis)
         n = basis.n
@@ -138,7 +153,7 @@ def test_symmetric_gamma_gives_zero_beta_and_symmetric_drift():
                 symmetric=True,
             )
             sys = assemble_system(basis, tensors, params)
-            assert np.linalg.norm(sys.beta) < 1e-12
+            assert np.all(sys.beta == 0.0)
             assert np.allclose(sys.A_d, sys.A_d.T, atol=1e-12)
 
 

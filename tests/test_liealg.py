@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oqsident import build_basis, pauli_words, structure_constants, verify_sparsity
-from oqsident.liealg import LieBasis
-from oracles import f_dense, g_dense
+from oqsident.liealg import LieBasis, pauli_transform
+from oracles import f_dense, g_dense, word_stack
 
 
 def levi_civita():
@@ -191,3 +191,32 @@ def test_validate_catches_scale_error():
         basis.validate()
     with pytest.raises(ValueError):
         structure_constants(basis)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_pauli_transform_matches_dense_products(num_qubits):
+    # superop is Gm^T c Gm and transfer is Gm X Gm^T after the reshuffle
+    # X[q, p, r, s] = P[p, r, s, q], with Gm the (N^2, N^2) word stack;
+    # transfer(superop(.)) is an involution
+    basis = build_basis(num_qubits)
+    N = basis.dim
+    Gm = word_stack(basis).reshape(N * N, N * N)
+    t = pauli_transform(num_qubits)
+    rng = np.random.default_rng(29 + num_qubits)
+    c = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
+    P = t.superop(c)
+    assert np.max(np.abs(P.reshape(N * N, N * N) - Gm.T @ c @ Gm)) <= 1e-14 * N
+    X = P.transpose(3, 0, 1, 2).reshape(N * N, N * N)
+    R = t.transfer(P)
+    assert np.max(np.abs(R - Gm @ X @ Gm.T)) <= 1e-14 * N
+    assert np.max(np.abs(t.transfer(t.superop(R)) - c)) <= 1e-14 * N
+
+
+def test_pauli_transform_is_cached_and_read_only():
+    t = pauli_transform(2)
+    assert pauli_transform(2) is t
+    assert t.N == 4 and t.H.shape == (4, 4)
+    with pytest.raises(ValueError):
+        t.words[0, 0] = 1
+    with pytest.raises(ValueError):
+        t.phases[0, 0] = 1.0

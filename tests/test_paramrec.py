@@ -4,9 +4,12 @@ The package's forward map (the process matrix in `gksl.drift`) is pinned
 against the structure-constant oracles: `drift_reference`, the dense
 blocks T1 and T3 and the stacked map M.  The closed-form inverses are
 pinned against dense solves with M (general) and against least squares
-through T3 and T1 (symmetric).  The symmetric route's 'gamma-only' status
-is reached both with honest data (a rotation outside the range of T1 from
-two qubits on) and by zeroing structure constants.
+through T3 and T1 (symmetric).  Both directions of the factored
+Walsh-Hadamard transform are pinned against the dense process-matrix
+products they replaced (`dissipator_dense`, `invert_dense`).  The
+symmetric route's 'gamma-only' status is reached both with honest data (a
+rotation outside the range of T1 from two qubits on) and by zeroing
+structure constants.
 """
 
 import copy
@@ -28,14 +31,18 @@ from oqsident import (
     structure_constants,
 )
 from oqsident.gksl import drift
-from oqsident.paramrec import _m_singular_values
+from oqsident.liealg import pauli_transform
+from oqsident.paramrec import _invert, _m_singular_values
 from oracles import (
+    dissipator_dense,
     drift_reference,
     f_dense,
+    invert_dense,
     stacked_map,
     symmetric_lstsq_reference,
     t1_block,
     t3_block,
+    word_stack,
 )
 
 
@@ -82,7 +89,9 @@ def test_forward_map_matches_assembled_system(num_qubits):
 @pytest.mark.parametrize("num_qubits", [1, 2])
 def test_build_matches_einsum_formulas(num_qubits):
     # the oracle blocks written as the module docstring states them,
-    # contracted term by term, and the stack G the inverses run through
+    # contracted term by term, and the word stack G the inverses run
+    # through, read back from the transform's tables: the superoperator of
+    # the unit matrix E_a0 is G_a[p, r] G_0[s, q] = G_a[p, r] delta_sq / sqrt(N)
     basis, tensors, mats = setup(num_qubits)
     n = basis.n
     f = f_dense(tensors)
@@ -93,8 +102,15 @@ def test_build_matches_einsum_formulas(num_qubits):
     ])
     assert np.array_equal(t1_block(tensors), -f.reshape(n * n, n))
     assert np.array_equal(t3_block(tensors), T3)
-    G = np.concatenate([basis.identity[None], basis.generators])
-    assert np.array_equal(mats.G, G)
+    N = basis.dim
+    assert mats.transform is pauli_transform(num_qubits)
+    E = np.zeros((N * N, N * N))
+    for a, G_a in enumerate(word_stack(basis)):
+        E[a, 0] = 1.0
+        P = mats.transform.superop(E)
+        E[a, 0] = 0.0
+        assert np.allclose(np.sqrt(N) * P[:, :, 0, 0], G_a, rtol=0.0, atol=1e-15)
+        assert np.allclose(P[:, :, 0, 1], 0.0, rtol=0.0, atol=1e-15)
     assert mats.f_ind is tensors.f_ind and mats.f_val is tensors.f_val
 
 
@@ -113,7 +129,7 @@ def test_forward_map_matches_structure_constant_oracles(num_qubits, seed, scale)
     n = basis.n
     theta = scale * rng.normal(size=n)
     gamma = random_hermitian(rng, n, scale=scale)
-    got = drift(basis.generators, tensors.f_ind, tensors.f_val, theta, gamma)
+    got = drift(pauli_transform(num_qubits), tensors.f_ind, tensors.f_val, theta, gamma)
     ref = drift_reference(tensors, basis.dim, theta, gamma)
     tol = 1e-14 * n * (1.0 + scale)
     assert np.array_equal(got[0], ref[0])  # A_l: one product per entry either way
@@ -173,11 +189,11 @@ def test_general_inverse_matches_dense_solve(num_qubits, seed, scale):
 def _round_trip_four_qubits(symmetric):
     # M would have (255^2 + 255)^2 complex entries (68 GB) and T3 255^2 x
     # 32640 real ones (17 GB); the forward map and both inverses need only
-    # the (256, 16, 16) stack G
+    # the Walsh-Hadamard tables of the 16 x 16 words
     tracemalloc.start()
     try:
         basis, tensors, mats = setup(4, general=not symmetric, symmetric=symmetric)
-        assert mats.G.shape == (256, 16, 16)
+        assert mats.transform.N == 16
         rng = np.random.default_rng(401)
         n = basis.n
         theta = rng.normal(size=n)
@@ -211,6 +227,41 @@ def test_symmetric_round_trip_four_qubits():
     _round_trip_four_qubits(symmetric=True)
 
 
+def _check_dense_parity(num_qubits, seed, scale):
+    # gksl.drift's A_d and paramrec._invert against the four dense
+    # (N^2, N^2) process-matrix products each of them replaced
+    basis = build_basis(num_qubits)
+    tensors = structure_constants(basis)
+    t = pauli_transform(num_qubits)
+    rng = np.random.default_rng(seed)
+    n = basis.n
+    theta = scale * rng.normal(size=n)
+    gamma = random_hermitian(rng, n, scale=scale)
+    A_d = drift(t, tensors.f_ind, tensors.f_val, theta, gamma)[1]
+    ref = dissipator_dense(basis.generators, gamma)
+    assert np.max(np.abs(A_d - ref)) <= 1e-14 * n * scale
+    A = scale * rng.normal(size=(n, n))
+    beta = scale * rng.normal(size=n)
+    theta_got, c_got = _invert(t, A, beta)
+    theta_ref, c_ref = invert_dense(word_stack(basis), A, beta)
+    assert np.max(np.abs(theta_got - theta_ref)) <= 1e-14 * n * scale
+    assert np.max(np.abs(c_got - c_ref)) <= 1e-14 * n * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_qubits=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 3.0),
+)
+def test_transform_matches_dense_process_matrix(num_qubits, seed, scale):
+    _check_dense_parity(num_qubits, seed, scale)
+
+
+def test_transform_matches_dense_process_matrix_four_qubits():
+    _check_dense_parity(4, 409, 1.0)
+
+
 def test_general_rejects_wrong_shapes():
     _, _, mats = setup(1, symmetric=False)
     with pytest.raises(ValueError, match=r"beta of shape \(3,\)"):
@@ -238,14 +289,14 @@ def test_matrix_shapes_and_ranks():
     assert np.linalg.matrix_rank(T1) == 3
     assert T3.shape == (9, 6)
     assert np.linalg.matrix_rank(T3) == 6
-    assert mats1.G.shape == (4, 2, 2)
-    for dense in ("M", "T1", "T2", "T3", "tensors"):
+    assert mats1.transform.N == 2
+    for dense in ("M", "T1", "T2", "T3", "G", "tensors"):
         assert not hasattr(mats1, dense)
     _, tensors2, mats2 = setup(2, general=False)
     T3 = t3_block(tensors2)
     assert T3.shape == (225, 120)
     assert np.linalg.matrix_rank(T3) == 120
-    assert mats2.G.shape == (16, 4, 4)  # both routes run through G
+    assert mats2.transform is pauli_transform(2)  # both routes, one table set
 
 
 def test_general_round_trip():
@@ -358,6 +409,36 @@ def test_symmetric_gamma_only_with_broken_structure_constants():
     assert rec.status == "gamma-only"
     assert rec.theta is None
     assert np.allclose(rec.gamma, gamma, atol=1e-10)
+
+
+def test_symmetric_rejects_wrong_shapes():
+    _, _, mats = setup(1, general=False)
+    with pytest.raises(ValueError, match=r"A of shape \(3, 3\), got \(3,\)"):
+        reconstruct_symmetric(np.zeros(3), mats)
+    with pytest.raises(ValueError, match=r"A of shape \(3, 3\), got \(3, 2\)"):
+        reconstruct_symmetric(np.zeros((3, 2)), mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_drift_is_rejected(bad):
+    # NaN residuals compare False against any threshold, so without the
+    # check both routes returned status 'full' with NaN parameters
+    basis, tensors, mats = setup(1)
+    rng = np.random.default_rng(367)
+    sys = assemble_system(
+        basis, tensors,
+        GkslParams(theta=rng.normal(size=3), gamma=random_symmetric(rng, 3), symmetric=True),
+    )
+    A = sys.A.copy()
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="A holds non-finite entries"):
+        reconstruct_symmetric(A, mats)
+    with pytest.raises(ValueError, match="A holds non-finite entries"):
+        reconstruct_general(A, sys.beta, mats)
+    beta = sys.beta.copy()
+    beta[0] = bad
+    with pytest.raises(ValueError, match="beta holds non-finite entries"):
+        reconstruct_general(sys.A, beta, mats)
 
 
 def test_symmetric_requires_symmetric_blocks():
