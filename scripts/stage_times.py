@@ -1,4 +1,4 @@
-"""Per-call wall time of the assembly and recovery stages at 1-4 qubits.
+"""Per-call wall time of the assembly, recovery and record stages at 1-4 qubits.
 
     PYTHONPATH=src python3 scripts/stage_times.py [--qubits 1 2 3 4] [--repeat 30]
 
@@ -6,8 +6,14 @@ BLAS is pinned to one thread before numpy loads.  Each cell is the best of
 --repeat timings of a loop long enough to take about 10 ms (at least one
 call); many short loops find the quiet moments of a shared host.  assemble_system and reconstruct_general run on a random Hermitian
 PSD gamma, reconstruct_symmetric on a random real PSD gamma, theta normal,
-as in the ROADMAP baseline table.  Only public calls are timed, so the
-script runs against any checkout that exports them.
+as in the ROADMAP baseline table.  The record stages follow the records-2q
+benchmark workload on the real-gamma system: simulate from one random mixed
+state on golden_schedule(T=0.5, l=2, frames=n+2) at 1-3 qubits, then
+fit_multirate, single_rate_models and reconstruct_continuous on that
+record at 1-2 qubits (at 3 qubits the frame-start states are rank
+deficient, so reconstruct_continuous runs on exact_multirate_model of A on
+a 3-frame schedule).  Only public calls are timed, so the script runs
+against any checkout that exports them.
 """
 
 import os
@@ -25,8 +31,15 @@ from oqsident import (  # noqa: E402
     assemble_system,
     build_basis,
     build_reconstruction_matrices,
+    exact_multirate_model,
+    fit_multirate,
+    golden_schedule,
+    reconstruct_continuous,
     reconstruct_general,
     reconstruct_symmetric,
+    rho_to_coherence,
+    simulate,
+    single_rate_models,
     structure_constants,
 )
 
@@ -46,12 +59,31 @@ def stage_calls(q, rng):
     herm = GkslParams(theta=rng.normal(size=n), gamma=psd(rng, n, True))
     sym = GkslParams(theta=rng.normal(size=n), gamma=psd(rng, n, False), symmetric=True)
     sys_h = assemble_system(basis, tensors, herm)
-    A_s = assemble_system(basis, tensors, sym).A
-    return {
+    sys_s = assemble_system(basis, tensors, sym)
+    calls = {
         "assemble_system": lambda: assemble_system(basis, tensors, herm),
         "reconstruct_general": lambda: reconstruct_general(sys_h.A, sys_h.beta, mats),
-        "reconstruct_symmetric": lambda: reconstruct_symmetric(A_s, mats),
+        "reconstruct_symmetric": lambda: reconstruct_symmetric(sys_s.A, mats),
     }
+    if q > 3:
+        return calls
+    sched = golden_schedule(T=0.5, l=2, frames=n + 2)
+    rho = psd(rng, basis.dim, True)
+    x0 = rho_to_coherence(rho / np.trace(rho), basis)
+    calls["simulate"] = lambda: simulate(sys_s, sched, x0=x0)
+    if q == 3:
+        exact = single_rate_models(
+            exact_multirate_model(sys_s.A, np.zeros((n, 1)), sys_s.C, golden_schedule(0.5, 2, 3))
+        )
+        calls["reconstruct_continuous, exact model"] = lambda: reconstruct_continuous(exact)
+        return calls
+    record = simulate(sys_s, sched, x0=x0)
+    model = fit_multirate(record, sched, n, C=sys_s.C)
+    family = single_rate_models(model)
+    calls["fit_multirate"] = lambda: fit_multirate(record, sched, n, C=sys_s.C)
+    calls["single_rate_models"] = lambda: single_rate_models(model)
+    calls["reconstruct_continuous"] = lambda: reconstruct_continuous(family)
+    return calls
 
 
 def main():
@@ -65,7 +97,7 @@ def main():
             timer = timeit.Timer(call)
             number = max(1, int(0.01 / timer.timeit(1)))
             best = min(timer.repeat(args.repeat, number)) / number
-            print(f"{q} qubits  {name:22s} {best * 1e3:9.3f} ms")
+            print(f"{q} qubits  {name:37s} {best * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -261,8 +261,10 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
     Every G_tau_i equals exp(A tau_i), so each continuous eigenvalue must
     appear in the log-branch set of every rate.  Candidates are generated
     from the first rate inside the window |Im mu| <= pi / min(tau) and
-    kept only if every other rate has a branch within `match_tol`.
-    Exactly one survivor per eigenvalue is required.
+    kept only if every other rate has a branch within `match_tol`; the
+    candidates of all modes are matched at once, one (modes, branches)
+    array against each other rate's branch set.  Exactly one survivor per
+    eigenvalue is required; the first mode without one raises.
 
     Eigenvectors are taken from the first rate (all G_tau_i share them),
     requiring diagonalizability; a defective transition matrix raises.
@@ -297,32 +299,33 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
             "(shared Jordan block) reconstruction is not supported"
         )
 
-    def branch_set(lams, tau):
+    def branches(lams, tau):
+        # (modes, 2K+1) log branches of one rate and their in-window mask
         K = math.ceil(window * tau / _TWO_PI) + 2
         ks = np.arange(-K, K + 1)
         mus = (np.log(lams)[:, None] + 1j * _TWO_PI * ks[None, :]) / tau
-        mus = mus.reshape(-1)
-        return mus[np.abs(mus.imag) <= window + slack]
+        return mus, np.abs(mus.imag) <= window + slack
 
-    others = [branch_set(np.linalg.eigvals(G), tau) for G, tau in zip(G_list[1:], taus[1:])]
+    cands, keep = branches(lam0, taus[0])
+    for G, tau in zip(G_list[1:], taus[1:]):
+        mus, inside = branches(np.linalg.eigvals(G), tau)
+        o = mus[inside]
+        keep &= np.min(np.abs(cands[:, :, None] - o), axis=2) <= match_tol
 
-    mu = np.empty(n, dtype=complex)
-    for m in range(n):
-        cands = branch_set(np.array([lam0[m]]), taus[0])
-        survivors = [
-            c for c in cands if all(np.min(np.abs(c - o)) <= match_tol for o in others)
-        ]
-        if len(survivors) == 0:
+    counts = keep.sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        m, count = bad[0], counts[bad[0]]
+        if count == 0:
             raise ValueError(
                 f"no continuous eigenvalue consistent across rates for mode {m}; "
                 "the fitted single-rate models disagree"
             )
-        if len(survivors) > 1:
-            raise ValueError(
-                f"branch ambiguity unresolved for mode {m}: {len(survivors)} "
-                "candidates survive; the sampling schedule cannot separate aliases"
-            )
-        mu[m] = survivors[0]
+        raise ValueError(
+            f"branch ambiguity unresolved for mode {m}: {count} "
+            "candidates survive; the sampling schedule cannot separate aliases"
+        )
+    mu = cands[keep]  # one survivor per mode, in mode order
 
     # one inverse-iteration step per mode on the frame map P = exp(A T)
     P = reduce(np.matmul, G_list)

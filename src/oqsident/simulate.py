@@ -4,7 +4,8 @@ The integrator is classical RK4 with steps aligned to every pulse edge and
 every sample stamp, so the piecewise-constant control never changes inside
 a step.  Between two events the drift is constant, one RK4 step is an exact
 affine map, and the segment's equal steps are applied at once as a power of
-that one-step propagator.
+that one-step propagator: one propagator power per distinct segment width
+and input, reused by every segment that repeats them.
 
 Sampling follows a multirate pattern: a frame of length T is subdivided by
 offsets t_0 = 0 < t_1 < ... < t_{l+1} = T and the pattern repeats for a
@@ -263,24 +264,33 @@ def simulate(
 
     # One RK4 step of size h on the affine system is exactly z -> P z with
     # z = [x; 1], P = I + H + H^2/2 + H^3/6 + H^4/24, H = h [[Mseg, beta], [0, 0]],
-    # so the nstep equal steps of a segment are P^nstep.
+    # so the nstep equal steps of a segment are P^nstep.  That power depends
+    # only on the segment's width b - a (exactly as computed here) and its
+    # input, so it is formed once per distinct pair.  The last row of every
+    # power is exactly [0 .. 0 1], so z keeps its trailing 1 exactly.
     eye = np.eye(dim + 1)
     H = np.zeros((dim + 1, dim + 1))  # last row stays zero
+    powers = {}
+    z = np.append(x, 1.0)
     record_at(events[0])
     for a, b in zip(events[:-1], events[1:]):
         u = u_vector(a)
-        Mseg = A.copy()
-        for c in np.nonzero(u)[0]:
-            Mseg = Mseg + u[c] * N_list[c]
-        nstep = max(1, math.ceil((b - a) / h_max))
-        h = (b - a) / nstep
-        H[:dim, :dim] = h * Mseg
-        H[:dim, dim] = h * beta
-        # Horner form: P = I + H (I + H (I + H (I + H/4) / 3) / 2)
-        P = eye + H / 4.0
-        for d in (3.0, 2.0, 1.0):
-            P = eye + (H @ P) / d
-        x = (np.linalg.matrix_power(P, nstep) @ np.append(x, 1.0))[:dim]
+        key = (b - a, u.tobytes())
+        if key not in powers:
+            Mseg = A.copy()
+            for c in np.nonzero(u)[0]:
+                Mseg = Mseg + u[c] * N_list[c]
+            nstep = max(1, math.ceil((b - a) / h_max))
+            h = (b - a) / nstep
+            H[:dim, :dim] = h * Mseg
+            H[:dim, dim] = h * beta
+            # Horner form: P = I + H (I + H (I + H (I + H/4) / 3) / 2)
+            P = eye + H / 4.0
+            for d in (3.0, 2.0, 1.0):
+                P = eye + (H @ P) / d
+            powers[key] = np.linalg.matrix_power(P, nstep)
+        z = powers[key] @ z
+        x = z[:dim]
         record_at(b)
 
     return MeasurementRecord(

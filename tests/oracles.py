@@ -1,6 +1,11 @@
 """Test-only reference computations shared by several test modules."""
 
+import math
+from functools import reduce
+
 import numpy as np
+
+from oqsident.gksl import EmbeddedSystem
 
 
 def f_dense(tensors):
@@ -249,3 +254,125 @@ def invert_dense(G, A, beta):
     Z = (Gm.T @ R @ Gm).reshape(N, N, N, N).transpose(3, 0, 1, 2).reshape(N2, N2)
     c = Gm @ Z @ Gm.T
     return -c[1:, 0].imag / np.sqrt(N), c[1:, 1:]
+
+
+def segment_drifts(A, N_list, schedule, pulses):
+    """Stamp times and the (a, b, drift) segments between consecutive
+    events, with the stamp arithmetic and pulse sums of `simulate`."""
+    T, times, frames = schedule.T, schedule.times, schedule.frames
+    stamps = [k * T + t for k in range(frames) for t in times[:-1]]
+    stamps.append((frames - 1) * T + times[-1])
+    edges = [p.tau for p in pulses if 0.0 < p.tau < stamps[-1]]
+    events = np.unique(np.concatenate([stamps, edges, [0.0]]))
+    segments = []
+    for a, b in zip(events[:-1], events[1:]):
+        u = np.zeros(len(N_list))
+        for p in pulses:
+            if p.tau > 0 and a < p.tau:
+                u[p.channel] += p.alpha
+        Mseg = A.copy()
+        for c in np.nonzero(u)[0]:
+            Mseg = Mseg + u[c] * N_list[c]
+        segments.append((a, b, Mseg))
+    return np.array(stamps), segments
+
+
+def simulate_reference(sys, schedule, pulses=(), x0=None, noise_sigma=0.0, seed=None,
+                       steps_per_interval=50):
+    """(y, x) at the stamps with a fresh one-step propagator and its power
+    for every segment, as `simulate` computed them before it reused the
+    power of segments that repeat a width and input.  y is C x per stamp,
+    plus the noise draws in stamp order."""
+    if isinstance(sys, EmbeddedSystem):
+        A, N_list, C, x_default = sys.A_emb, sys.N_list_emb, sys.C_emb, sys.x0_emb
+        beta = np.zeros(sys.n + 1)
+    else:
+        A, N_list, C, x_default = sys.A, sys.N_list, sys.C, sys.x0
+        beta = sys.beta
+    dim = A.shape[0]
+    x = np.array(x_default if x0 is None else x0, dtype=float)
+    stamps, segments = segment_drifts(A, N_list, schedule, pulses)
+    h_max = schedule.taus.min() / steps_per_interval
+    eye = np.eye(dim + 1)
+    H = np.zeros((dim + 1, dim + 1))
+    states = {0.0: x}
+    for a, b, Mseg in segments:
+        nstep = max(1, math.ceil((b - a) / h_max))
+        h = (b - a) / nstep
+        H[:dim, :dim] = h * Mseg
+        H[:dim, dim] = h * beta
+        P = eye + H / 4.0
+        for d in (3.0, 2.0, 1.0):
+            P = eye + (H @ P) / d
+        x = (np.linalg.matrix_power(P, nstep) @ np.append(x, 1.0))[:dim]
+        states[b] = x
+    rng = np.random.default_rng(seed)
+    ys = []
+    for t in stamps:
+        y = C @ states[t]
+        if noise_sigma > 0:
+            y = y + noise_sigma * rng.standard_normal(C.shape[0])
+        ys.append(y)
+    return np.array(ys), np.array([states[t] for t in stamps])
+
+
+def branch_match_reference(family, match_tol=1e-6, cond_cap=1e12):
+    """(eigenvalues, A) of `ldsrec.reconstruct_continuous` with the branch
+    matching done mode by mode: each mode's windowed candidates from the
+    first rate are kept when every other rate's branch set has a point
+    within match_tol, and a mode with zero or several survivors raises.
+    This is how the matching was written before all modes were matched in
+    one array; the eigenvector step after it is the same."""
+    taus = np.asarray(family.taus, dtype=float)
+    G_list = family.G_taus
+    n = family.order
+    window = math.pi / taus.min()
+    slack = 10 * match_tol
+
+    lam0, V = np.linalg.eig(G_list[0])
+    if np.min(np.abs(lam0)) < 1e-300:
+        raise ValueError("transition matrix is singular; no matrix logarithm")
+    if np.linalg.cond(V) > cond_cap:
+        raise ValueError(
+            "transition matrix is not reliably diagonalizable; defective "
+            "(shared Jordan block) reconstruction is not supported"
+        )
+
+    two_pi = 2.0 * math.pi
+
+    def branch_set(lams, tau):
+        K = math.ceil(window * tau / two_pi) + 2
+        ks = np.arange(-K, K + 1)
+        mus = (np.log(lams)[:, None] + 1j * two_pi * ks[None, :]) / tau
+        mus = mus.reshape(-1)
+        return mus[np.abs(mus.imag) <= window + slack]
+
+    others = [branch_set(np.linalg.eigvals(G), tau) for G, tau in zip(G_list[1:], taus[1:])]
+
+    mu = np.empty(n, dtype=complex)
+    for m in range(n):
+        cands = branch_set(np.array([lam0[m]]), taus[0])
+        survivors = [
+            c for c in cands if all(np.min(np.abs(c - o)) <= match_tol for o in others)
+        ]
+        if len(survivors) == 0:
+            raise ValueError(
+                f"no continuous eigenvalue consistent across rates for mode {m}; "
+                "the fitted single-rate models disagree"
+            )
+        if len(survivors) > 1:
+            raise ValueError(
+                f"branch ambiguity unresolved for mode {m}: {len(survivors)} "
+                "candidates survive; the sampling schedule cannot separate aliases"
+            )
+        mu[m] = survivors[0]
+
+    P = reduce(np.matmul, G_list)
+    shifted = P - np.exp(mu * taus.sum())[:, None, None] * np.eye(n)
+    try:
+        W = np.linalg.solve(shifted, V.T[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:
+        W = V
+    if np.all(np.isfinite(W)):
+        V = W / np.linalg.norm(W, axis=0)
+    return mu, (V @ np.diag(mu) @ np.linalg.inv(V)).real

@@ -30,7 +30,7 @@ from oqsident import (
 from oqsident.gksl import CoherenceSystem
 from oqsident.ldsrec import SingleRateFamily, _frame_weights
 from oqsident.simulate import MeasurementRecord, SamplingSchedule
-from oracles import single_rate_reference
+from oracles import branch_match_reference, single_rate_reference
 
 
 def rot(w):
@@ -230,16 +230,32 @@ def test_uniform_single_rate_aliases_silently():
                        atol=1e-8)
 
 
-def test_branch_ambiguity_raises():
+def ambiguous_family():
     # two rotation blocks a full 2 pi / T apart alias against each other:
-    # both frequencies appear in every rate's branch set, so no schedule
-    # decision is possible and the reconstruction must refuse
+    # both frequencies appear in every rate's branch set
     A = block_diag(rot(1.0), rot(1.0 + 2.0 * np.pi))
     sched = SamplingSchedule(T=1.25, times=[0.0, 1.0, 1.25])
     model = exact_multirate_model(A, np.zeros((4, 1)), np.eye(4), sched)
-    family = single_rate_models(model)
+    return single_rate_models(model)
+
+
+def inconsistent_family():
+    # a different continuous system for the second rate
+    A1 = rot(1.0)
+    A2 = rot(2.5)
+    taus = np.array([0.4, 0.6])
+    return SingleRateFamily(
+        order=2,
+        taus=taus,
+        G_taus=[expm(A1 * taus[0]), expm(A2 * taus[1])],
+        C=np.eye(2),
+    )
+
+
+def test_branch_ambiguity_raises():
+    # no schedule decision is possible, so the reconstruction must refuse
     with pytest.raises(ValueError, match="branch ambiguity unresolved"):
-        reconstruct_continuous(family)
+        reconstruct_continuous(ambiguous_family())
 
 
 def test_frame_aliased_modes_recovered():
@@ -257,17 +273,64 @@ def test_frame_aliased_modes_recovered():
 
 
 def test_inconsistent_rates_raise():
-    A1 = rot(1.0)
-    A2 = rot(2.5)  # a different continuous system for the second rate
-    taus = np.array([0.4, 0.6])
-    family = SingleRateFamily(
-        order=2,
-        taus=taus,
-        G_taus=[expm(A1 * taus[0]), expm(A2 * taus[1])],
-        C=np.eye(2),
-    )
     with pytest.raises(ValueError, match="no continuous eigenvalue consistent"):
+        reconstruct_continuous(inconsistent_family())
+
+
+@pytest.mark.parametrize("make", [ambiguous_family, inconsistent_family])
+def test_branch_refusal_text_matches_per_mode_reference(make):
+    family = make()
+    with pytest.raises(ValueError) as ref:
+        branch_match_reference(family)
+    with pytest.raises(ValueError) as got:
         reconstruct_continuous(family)
+    assert str(got.value) == str(ref.value)
+
+
+_BASES = {q: build_basis(q) for q in (1, 2)}
+_TENSORS = {q: structure_constants(b) for q, b in _BASES.items()}
+
+
+def gksl_family(qubits, seed, fitted, noise_sigma):
+    """Single-rate family of a random symmetric-gamma GKSL drift on the
+    records-2q schedule: exact, or fitted from a simulated record."""
+    basis = _BASES[qubits]
+    n = basis.n
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n))
+    params = GkslParams(theta=rng.normal(size=n), gamma=0.4 * m @ m.T / n, symmetric=True)
+    sys = assemble_system(basis, _TENSORS[qubits], params)
+    sched = golden_schedule(T=0.5, l=2, frames=n + 2)
+    if not fitted:
+        return single_rate_models(exact_multirate_model(sys.A, np.zeros((n, 1)), sys.C, sched))
+    v = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+    rho = v @ v.conj().T
+    record = simulate(sys, sched, x0=rho_to_coherence(rho / np.trace(rho), basis),
+                      noise_sigma=noise_sigma, seed=seed)
+    return single_rate_models(fit_multirate(record, sched, n, C=sys.C))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    qubits=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    fitted=st.booleans(),
+    noise_sigma=st.sampled_from([0.0, 1e-9, 1e-7]),
+)
+def test_branch_matching_matches_per_mode_reference(qubits, seed, fitted, noise_sigma):
+    # all modes matched in one array pick the same survivors, and refuse
+    # with the same text, as the mode-by-mode loop
+    family = gksl_family(qubits, seed, fitted, noise_sigma)
+    try:
+        mu, A = branch_match_reference(family)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            reconstruct_continuous(family)
+        assert str(got.value) == str(err)
+        return
+    rec = reconstruct_continuous(family)
+    assert np.array_equal(rec.eigenvalues, mu)
+    assert np.array_equal(rec.A, A)
 
 
 def test_defective_transition_raises():

@@ -3,7 +3,9 @@
 The oracle for trajectory checks is the matrix exponential of the
 embedded drift, evaluated piecewise over the constant-input segments.
 The step-by-step RK4 loop is kept here as the reference for the
-propagator powers `simulate` takes over each segment.
+propagator powers `simulate` takes over each segment, and
+`oracles.simulate_reference`, which forms that power afresh for every
+segment, as the bit-for-bit reference for reusing it.
 """
 
 import math
@@ -28,6 +30,7 @@ from oqsident import (
     structure_constants,
 )
 from oqsident.gksl import CoherenceSystem
+from oracles import segment_drifts, simulate_reference
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -227,27 +230,6 @@ def test_record_len_and_meta():
     assert rec.meta["steps_per_interval"] == 50
 
 
-def segment_drifts(A, N_list, schedule, pulses):
-    """Stamp times and the (a, b, drift) segments between consecutive
-    events, with the stamp arithmetic and pulse sums of `simulate`."""
-    T, times, frames = schedule.T, schedule.times, schedule.frames
-    stamps = [k * T + t for k in range(frames) for t in times[:-1]]
-    stamps.append((frames - 1) * T + times[-1])
-    edges = [p.tau for p in pulses if 0.0 < p.tau < stamps[-1]]
-    events = np.unique(np.concatenate([stamps, edges, [0.0]]))
-    segments = []
-    for a, b in zip(events[:-1], events[1:]):
-        u = np.zeros(len(N_list))
-        for p in pulses:
-            if p.tau > 0 and a < p.tau:
-                u[p.channel] += p.alpha
-        Mseg = A.copy()
-        for c in np.nonzero(u)[0]:
-            Mseg = Mseg + u[c] * N_list[c]
-        segments.append((a, b, Mseg))
-    return np.array(stamps), segments
-
-
 def rk4_reference(sys, schedule, pulses, x0, steps_per_interval):
     """States at the stamps from the stepwise classical RK4 loop."""
     stamps, segments = segment_drifts(sys.A, sys.N_list, schedule, pulses)
@@ -345,3 +327,57 @@ def test_one_step_per_interval_is_rk4_not_expm(embedded):
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(got - ref) <= 1e-12 * scale
     assert np.linalg.norm(got - exact) > 1e-6 * scale
+
+
+_SYS_1Q = assemble_system(_BASIS_1Q, _TENSORS_1Q, GkslParams(
+    theta=np.array([1.5, -0.8, 1.1]),
+    gamma=np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.4, 0.1j], [0.0, -0.1j, 0.3]]),
+))
+# pulses as (edge / simulated time, alpha, channel), embedded, noise_sigma
+_PARITY_CASES = {
+    "autonomous": ([], False, 0.0),
+    "edges-inside": ([(0.37, 1.3, 0), (0.81, -0.7, 0)], False, 0.0),
+    "two-channels": ([(0.6, 1.1, 0), (0.45, -0.9, 2)], False, 0.0),
+    "zero-width": ([(0.0, 1.5, 1), (0.5, 0.8, 1)], False, 0.0),
+    "embedded": ([(0.37, 1.3, 0), (0.6, -0.9, 2)], True, 0.0),
+    "noise": ([(0.6, 1.1, 1)], False, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARITY_CASES))
+@settings(max_examples=15, deadline=None)
+@given(
+    T=st.floats(0.3, 1.2),
+    l=st.integers(0, 3),
+    frames=st.integers(1, 6),
+    steps_per_interval=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reused_segment_powers_are_bit_identical(case, T, l, frames, steps_per_interval, seed):
+    spec, embedded, noise_sigma = _PARITY_CASES[case]
+    sched = golden_schedule(T=T, l=l, frames=frames)
+    pulses = [Pulse(tau=f * frames * T, alpha=a, channel=c) for f, a, c in spec]
+    x0 = np.array([0.3, -0.2, 0.4])
+    target = embed_standard_form(_SYS_1Q) if embedded else _SYS_1Q
+    start = np.append(x0, 1.0) if embedded else x0
+    kwargs = dict(pulses=pulses, x0=start, noise_sigma=noise_sigma, seed=seed,
+                  steps_per_interval=steps_per_interval)
+    y_ref, x_ref = simulate_reference(target, sched, **kwargs)
+    rec = simulate(target, sched, record_states=True, **kwargs)
+    assert np.array_equal(rec.y, y_ref)
+    assert np.array_equal(rec.x, x_ref)
+    assert np.array_equal(simulate(target, sched, **kwargs).y, y_ref)
+
+
+def test_one_power_per_distinct_segment(monkeypatch):
+    powers = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(
+        np.linalg, "matrix_power", lambda P, k: powers.append(k) or matrix_power(P, k)
+    )
+    sched = golden_schedule(T=0.5, l=2, frames=17)
+    pulses = [Pulse(tau=0.8, alpha=1.1, channel=0)]
+    simulate(_SYS_1Q, sched, pulses=pulses, x0=np.array([0.3, -0.2, 0.4]))
+    _, segments = segment_drifts(_SYS_1Q.A, _SYS_1Q.N_list, sched, pulses)
+    distinct = {(b - a, a < 0.8) for a, b, _ in segments}
+    assert len(powers) == len(distinct) < len(segments) // 4
