@@ -1,18 +1,21 @@
-"""Per-call wall time of the assembly, recovery and record stages at 1-4 qubits.
+"""Per-call wall time of the basis, assembly, recovery and record stages at 1-4 qubits.
 
     PYTHONPATH=src python3 scripts/stage_times.py [--qubits 1 2 3 4] [--repeat 30]
 
 BLAS is pinned to one thread before numpy loads.  Each cell is the best of
 --repeat timings of a loop long enough to take about 10 ms (at least one
-call); many short loops find the quiet moments of a shared host.  assemble_system and reconstruct_general run on a random Hermitian
-PSD gamma, reconstruct_symmetric on a random real PSD gamma, theta normal,
-as in the ROADMAP baseline table.  The record stages follow the records-2q
-benchmark workload on the real-gamma system: simulate from one random mixed
-state on golden_schedule(T=0.5, l=2, frames=n+2) at 1-3 qubits, then
-fit_multirate, single_rate_models and reconstruct_continuous on that
-record at 1-2 qubits (at 3 qubits the frame-start states are rank
-deficient, so reconstruct_continuous runs on exact_multirate_model of A on
-a 3-frame schedule).  Only public calls are timed, so the script runs
+call); many short loops find the quiet moments of a shared host.
+build_basis and structure_constants are timed with pauli_transform(q)
+already cached, read_basis on the normalized basis file that write_basis
+writes to a temporary directory.  assemble_system and reconstruct_general
+run on a random Hermitian PSD gamma, reconstruct_symmetric on a random real
+PSD gamma, theta normal, as in the ROADMAP baseline table.  The record
+stages follow the records-2q benchmark workload on the real-gamma system:
+simulate from one random mixed state on golden_schedule(T=0.5, l=2,
+frames=n+2) at 1-3 qubits, then fit_multirate, single_rate_models and
+reconstruct_continuous on that record at 1-2 qubits (at 3 qubits the
+frame-start states are rank deficient, so reconstruct_continuous runs on
+exact_multirate_model of A on a 3-frame schedule).  Only public calls are timed, so the script runs
 against any checkout that exports them.
 """
 
@@ -22,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import tempfile  # noqa: E402
 import timeit  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -36,11 +40,13 @@ from oqsident import (  # noqa: E402
     golden_schedule,
     reconstruct_continuous,
     reconstruct_general,
+    read_basis,
     reconstruct_symmetric,
     rho_to_coherence,
     simulate,
     single_rate_models,
     structure_constants,
+    write_basis,
 )
 
 
@@ -51,9 +57,11 @@ def psd(rng, n, complex_):
     return (m @ m.conj().T) / n
 
 
-def stage_calls(q, rng):
+def stage_calls(q, rng, tmp):
     basis = build_basis(q)
     tensors = structure_constants(basis)
+    path = os.path.join(tmp, f"basis{q}.json")
+    write_basis(path, basis, tensors)
     mats = build_reconstruction_matrices(tensors, basis.dim)
     n = basis.n
     herm = GkslParams(theta=rng.normal(size=n), gamma=psd(rng, n, True))
@@ -61,6 +69,9 @@ def stage_calls(q, rng):
     sys_h = assemble_system(basis, tensors, herm)
     sys_s = assemble_system(basis, tensors, sym)
     calls = {
+        "build_basis": lambda: build_basis(q),
+        "structure_constants": lambda: structure_constants(basis),
+        "read_basis": lambda: read_basis(path),
         "assemble_system": lambda: assemble_system(basis, tensors, herm),
         "reconstruct_general": lambda: reconstruct_general(sys_h.A, sys_h.beta, mats),
         "reconstruct_symmetric": lambda: reconstruct_symmetric(sys_s.A, mats),
@@ -92,12 +103,13 @@ def main():
     parser.add_argument("--repeat", type=int, default=30)
     args = parser.parse_args()
     rng = np.random.default_rng(2025)
-    for q in args.qubits:
-        for name, call in stage_calls(q, rng).items():
-            timer = timeit.Timer(call)
-            number = max(1, int(0.01 / timer.timeit(1)))
-            best = min(timer.repeat(args.repeat, number)) / number
-            print(f"{q} qubits  {name:37s} {best * 1e3:9.3f} ms")
+    with tempfile.TemporaryDirectory() as tmp:
+        for q in args.qubits:
+            for name, call in stage_calls(q, rng, tmp).items():
+                timer = timeit.Timer(call)
+                number = max(1, int(0.01 / timer.timeit(1)))
+                best = min(timer.repeat(args.repeat, number)) / number
+                print(f"{q} qubits  {name:37s} {best * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

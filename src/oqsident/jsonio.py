@@ -17,7 +17,7 @@ import numpy as np
 from .gksl import CoherenceSystem, GkslParams
 from .identify import IdentifiabilityReport, PairVerdict, SamplingPolicyReport
 from .ldsrec import ContinuousModel, DiscreteMultirateModel
-from .liealg import LieBasis, StructureTensors
+from .liealg import LieBasis, StructureTensors, structure_constants
 from .paramrec import RecoveredParams
 from .simulate import MeasurementRecord, Pulse, SamplingSchedule
 
@@ -104,6 +104,10 @@ def write_basis(path, basis, tensors):
 
 
 def read_basis(path):
+    """(LieBasis, StructureTensors) of a basis file.  The basis must pass
+    `LieBasis.validate`, and f and g must have the indices of
+    `structure_constants(basis)` and values within 1e-12 (older files hold
+    projection-rounded values); otherwise ValueError names the field."""
     doc = _load(path, "basis")
     N = doc["dim"]
     gens = np.stack([_from_cpairs(p, (N, N)) for p in doc["generators"]])
@@ -121,6 +125,16 @@ def read_basis(path):
     tensors = StructureTensors(
         n=doc["n"], f_ind=f_ind, f_val=f_val, g_ind=g_ind, g_val=g_val
     )
+    try:
+        want = structure_constants(basis)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for name, ind, val, want_ind, want_val in (
+        ("f", f_ind, f_val, want.f_ind, want.f_val),
+        ("g", g_ind, g_val, want.g_ind, want.g_val),
+    ):
+        if not (np.array_equal(ind, want_ind) and np.allclose(val, want_val, rtol=0, atol=1e-12)):
+            raise ValueError(f"{path}: {name}: not the structure constants of its basis")
     return basis, tensors
 
 

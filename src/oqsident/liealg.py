@@ -25,11 +25,11 @@ Conventions used throughout the package:
   two indices with g_jjl = 0.  For a Pauli word basis both tensors are very
   sparse: for fixed (j, k) at most one l carries a nonzero f and at most one
   l carries a nonzero g.
-* Every normalized word, the identity included, is a phased signed
-  permutation: G_a[p, p ^ x_a] = w_a H[z_a, p] / sqrt(N), with H the
-  Sylvester Walsh-Hadamard matrix and w_a a power of -i.  `PauliTransform`
-  uses this to move between process matrices, superoperators and Pauli
-  transfer matrices in O(N^5) (see `pauli_transform`).
+* Word a, the identity included, is w_a Z^z_a X^x_a: bit strings x_a, z_a
+  and w_a a power of -i.  These codes from `pauli_transform` are the one
+  source of the stack G_a[p, p ^ x_a] = w_a H[z_a, p] / sqrt(N) (H the
+  Walsh-Hadamard matrix), of `LieBasis.validate`, of f and g, and of the
+  O(N^5) transforms between process, superoperator and transfer matrices.
 
 All indices in the Python API are 0-based.  The JSON interchange layer
 converts to 1-based records.
@@ -51,11 +51,6 @@ _PAULI = {
 # Lexicographic symbol order fixing the generator index map.
 _SYMBOLS = ("I", "x", "y", "z")
 
-# sigma_a sigma_b = _PHASE[a, b] sigma_(a ^ b), symbols coded 0..3 in _SYMBOLS order.
-_SIGMA = [_PAULI[s] for s in _SYMBOLS]
-_PHASE = np.array([[np.trace(sa @ sb @ _SIGMA[a ^ b]) / 2 for b, sb in enumerate(_SIGMA)]
-                   for a, sa in enumerate(_SIGMA)])
-
 
 def pauli_words(num_qubits):
     """Return the n = 4**q - 1 Pauli word labels in lexicographic order.
@@ -67,15 +62,13 @@ def pauli_words(num_qubits):
     return words[1:]
 
 
-def _word_matrix(word):
-    out = _PAULI[word[0]]
-    for ch in word[1:]:
-        out = np.kron(out, _PAULI[ch])
-    return out
-
-
-def _word_stack(words, scale):
-    return np.stack([_word_matrix(w) for w in words]).astype(complex) * scale
+def _word_stack(t, normalized):
+    """(N^2, N, N) stack of all words, identity first, scattered from the
+    codes of the `PauliTransform` t and scaled by 1/sqrt(N) if normalized."""
+    N, p = t.N, np.arange(t.N)
+    G = np.zeros((N * N, N, N), dtype=complex)
+    G[np.arange(N * N)[:, None], p, p ^ t.x[:, None]] = t.w[:, None] * t.H[t.z]
+    return G / np.sqrt(N) if normalized else G
 
 
 @dataclass
@@ -109,30 +102,23 @@ class LieBasis:
     identity: np.ndarray
     normalized: bool = True
 
-    def validate(self, tol=1e-12):
-        """Check the basis invariants, raising ValueError on failure.
-
-        Every generator must be Hermitian and traceless.  For a normalized
-        basis the stack must in addition be trace-orthonormal, including
-        the identity component.
-        """
-        F = self.generators
-        if F.shape != (self.n, self.dim, self.dim):
-            raise ValueError("generator stack has wrong shape")
-        herm = np.max(np.abs(F - F.conj().transpose(0, 2, 1)))
-        if herm > tol:
-            raise ValueError(f"generators not Hermitian (residual {herm:.3e})")
-        tr = np.max(np.abs(np.trace(F, axis1=1, axis2=2)))
-        if tr > tol:
-            raise ValueError(f"generators not traceless (residual {tr:.3e})")
-        if self.normalized:
-            gram = np.einsum("mab,nba->mn", F, F)
-            err = np.max(np.abs(gram - np.eye(self.n)))
-            if err > 1e-10:
-                raise ValueError(f"basis not trace-orthonormal (residual {err:.3e})")
-            id_norm = abs(np.trace(self.identity @ self.identity) - 1.0)
-            if id_norm > 1e-10:
-                raise ValueError("identity component not normalized")
+    def validate(self):
+        """Check that this is the q-qubit Pauli word stack at its declared
+        scale (dim, n, shapes, words, and entries within 1e-12), an O(n N^2)
+        comparison that implies Hermitian, traceless and, if normalized,
+        orthonormal.  Raises ValueError naming the first field that fails."""
+        q, N = self.num_qubits, 2**self.num_qubits
+        sizes = (self.dim, self.n, np.shape(self.identity), np.shape(self.generators))
+        if sizes != (N, N * N - 1, (N, N), (N * N - 1, N, N)):
+            raise ValueError(f"dim, n, identity, generators: sizes {sizes} are not {q}-qubit")
+        if list(self.words) != pauli_words(q):
+            raise ValueError(f"words: not the {q}-qubit Pauli words")
+        G = _word_stack(pauli_transform(q), self.normalized)
+        for name, got, want in (("identity", self.identity, G[0]),
+                                ("generators", self.generators, G[1:])):
+            err = np.abs(got - want).max()
+            if not err <= 1e-12:
+                raise ValueError(f"{name}: off the {q}-qubit Pauli word stack by {err:.3g}")
         return True
 
 
@@ -156,21 +142,16 @@ def build_basis(num_qubits, normalized=True):
     if not 1 <= num_qubits <= 4:
         raise ValueError("num_qubits must be between 1 and 4")
     N = 2**num_qubits
-    words = pauli_words(num_qubits)
-    scale = 1.0 / np.sqrt(N) if normalized else 1.0
-    gens = _word_stack(words, scale)
-    ident = np.eye(N, dtype=complex) * scale
-    basis = LieBasis(
+    G = _word_stack(pauli_transform(num_qubits), normalized)
+    return LieBasis(
         num_qubits=num_qubits,
         dim=N,
-        n=len(words),
-        words=words,
-        generators=gens,
-        identity=ident,
+        n=N * N - 1,
+        words=pauli_words(num_qubits),
+        generators=G[1:],
+        identity=G[0],
         normalized=normalized,
     )
-    basis.validate()
-    return basis
 
 
 @dataclass
@@ -200,10 +181,12 @@ class StructureTensors:
 def structure_constants(basis):
     """Structure constants of a Pauli word basis by the Pauli product rule.
 
-    Word j has code j + 1, two bits per qubit, so F_j F_k = s phase_jk F_l
-    with l = ((j + 1) ^ (k + 1)) - 1 (-1 is the identity), the word scale
-    s (1/sqrt(N) or 1) and phase_jk the product of the per-qubit phases.
-    Hence f_jkl = 2 s Im(phase_jk) and, for l >= 0, g_jkl = 2 s Re(phase_jk).
+    With the word codes (x, z, w) of `pauli_transform`, w Z^z X^x times
+    w' Z^z' X^x' is w w' (-1)^popcount(x & z') Z^(z ^ z') X^(x ^ x'), so
+    F_j F_k = s phase_jk F_l with F_l the word of (z_j ^ z_k, x_j ^ x_k)
+    (the identity for j = k), the word scale s (1/sqrt(N) or 1) and
+    phase_jk = w_j w_k H[x_j, z_k] / w_l.  Hence f_jkl = 2 s Im(phase_jk)
+    and, for l not the identity, g_jkl = 2 s Re(phase_jk).
 
     Parameters
     ----------
@@ -218,25 +201,15 @@ def structure_constants(basis):
     Raises
     ------
     ValueError
-        If the words or generators of `basis` are not the Pauli word
-        stack of `build_basis` at the basis's own scale.
+        From `basis.validate()`, if `basis` is not the Pauli word stack at
+        its declared scale.
     """
-    q = basis.num_qubits
-    words = pauli_words(q)
-    scale = 1.0 / np.sqrt(2**q) if basis.normalized else 1.0
-    expected = _word_stack(words, scale)
-    F = basis.generators
-    same = list(basis.words) == words and F.shape == expected.shape
-    if not same or np.abs(F - expected).max() > 1e-12:
-        raise ValueError(f"basis is not the {q}-qubit Pauli word stack at its own scale")
-    # Phases multiply across qubits, so the phase table of all 4**q words
-    # (identity first) is a Kronecker power of _PHASE.
-    phase = _PHASE
-    for _ in range(q - 1):
-        phase = np.kron(phase, _PHASE)
-    phase = phase[1:, 1:]
-    codes = np.arange(1, len(words) + 1)
-    word = (codes[:, None] ^ codes) - 1
+    basis.validate()
+    t = pauli_transform(basis.num_qubits)
+    scale = 1.0 / np.sqrt(t.N) if basis.normalized else 1.0
+    x, z, w = t.x[1:, None], t.z[1:, None], t.w[1:, None]
+    word = t.word[z ^ z.T, x ^ x.T] - 1  # -1 is the identity
+    phase = w * w.T * t.H[x, z.T] * t.w[word + 1].conj()  # 1/w is conj(w)
     f = 2 * scale * phase.imag
     g = 2 * scale * phase.real
     g[word < 0] = 0.0  # the identity part of {F_j, F_j} is not in g
@@ -247,7 +220,7 @@ def structure_constants(basis):
 
     fi, fv = _coo(f)
     gi, gv = _coo(g)
-    return StructureTensors(n=len(words), f_ind=fi, f_val=fv, g_ind=gi, g_val=gv)
+    return StructureTensors(n=basis.n, f_ind=fi, f_val=fv, g_ind=gi, g_val=gv)
 
 
 @dataclass(frozen=True)
@@ -265,6 +238,12 @@ class PauliTransform:
     Attributes
     ----------
     N : int
+    x, z : ndarray, shape (N^2,), int
+        Bit strings of each word w_a Z^z_a X^x_a, qubit 0 most significant.
+    w : ndarray, shape (N^2,), complex
+        Phase of each word, a power of -i.
+    word : ndarray, shape (N, N), int
+        word[z, x] is the index of the word with codes z and x.
     H : ndarray, shape (N, N)
         Sylvester Walsh-Hadamard matrix, H[z, p] = (-1)^popcount(z & p).
     words : ndarray, shape (N, N^3)
@@ -281,6 +260,10 @@ class PauliTransform:
     """
 
     N: int
+    x: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    word: np.ndarray
     H: np.ndarray
     words: np.ndarray
     phases: np.ndarray
@@ -334,18 +317,17 @@ def pauli_transform(num_qubits):
         z = (2 * z[:, None] + zs).ravel()
         w = (w[:, None] * ws).ravel()
         H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
-    word = np.empty((N, N), dtype=int)  # word[z, x] is the word index
+    word = np.empty((N, N), dtype=int)
     word[z, x] = np.arange(N * N)
-    phase = np.empty((N, N), dtype=complex)
-    phase[z, x] = w
     a, b, c, d = np.ix_(*[np.arange(N)] * 4)
     words = (word[a, c] * N * N + word[b, d]).reshape(N, -1)
     pairs = np.empty(N**4, dtype=int)
     pairs[words.reshape(-1)] = np.arange(N**4)
     tables = dict(
+        x=x, z=z, w=w, word=word,
         H=H,
         words=words,
-        phases=(phase[a, c] * phase[b, d] / N).reshape(N, -1),
+        phases=(w[word[a, c]] * w[word[b, d]] / N).reshape(N, -1),
         pairs=pairs.reshape(N * N, -1),
         superop_index=((a * N + c) * N + (a ^ b)) * N + (c ^ d),
         transfer_index=((((a ^ c) * N + b) * N + (b ^ d)) * N + a).reshape(N, -1),

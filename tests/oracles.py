@@ -1,11 +1,58 @@
 """Test-only reference computations shared by several test modules."""
 
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 
 from oqsident.gksl import EmbeddedSystem
+
+# Single-qubit symbols in the lexicographic order of `liealg.pauli_words`.
+_SIGMA = [
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+]
+# sigma_a sigma_b = _PHASE[a, b] sigma_(a ^ b), symbols coded 0..3 as above.
+_PHASE = np.array([[np.trace(sa @ sb @ _SIGMA[a ^ b]) / 2 for b, sb in enumerate(_SIGMA)]
+                   for a, sa in enumerate(_SIGMA)])
+
+
+def _scale(num_qubits, normalized):
+    return 1.0 / np.sqrt(2**num_qubits) if normalized else 1.0
+
+
+def kronecker_stack(num_qubits, normalized=True):
+    """(identity, generators) of the Pauli word basis, each word a
+    Kronecker product of its symbols, as `liealg.build_basis` built them
+    before it scattered the stack from the word codes."""
+    words = itertools.product(_SIGMA, repeat=num_qubits)
+    G = np.stack([reduce(np.kron, w) for w in words]).astype(complex)
+    G = G * _scale(num_qubits, normalized)
+    return G[0], G[1:]
+
+
+def phase_power_constants(num_qubits, normalized=True):
+    """(f_ind, f_val, g_ind, g_val) of the Pauli word basis by the
+    per-qubit product rule, as `liealg.structure_constants` computed them
+    before the word codes: word j has code j + 1, two bits per qubit, so
+    F_j F_k = s phase_jk F_l with l = ((j + 1) ^ (k + 1)) - 1 (-1 is the
+    identity), and the phase table of all 4**q words is the q-fold
+    Kronecker power of _PHASE."""
+    scale = _scale(num_qubits, normalized)
+    phase = reduce(np.kron, [_PHASE] * num_qubits)[1:, 1:]
+    codes = np.arange(1, len(phase) + 1)
+    word = (codes[:, None] ^ codes) - 1
+    f = 2 * scale * phase.imag
+    g = 2 * scale * phase.real
+    g[word < 0] = 0.0
+    out = []
+    for t in (f, g):
+        j, k = np.nonzero(t)
+        out += [np.stack([j, k, word[j, k]], axis=1), t[j, k]]
+    return out
 
 
 def f_dense(tensors):

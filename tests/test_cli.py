@@ -191,6 +191,19 @@ def test_error_exit_codes(workdir, tmp_path, capsys):
     assert "output matrix" in capsys.readouterr().err
 
 
+def test_tampered_basis_exits_one(workdir, tmp_path, capsys):
+    paths, _, _ = workdir
+    doc = json.loads(paths["basis"].read_text())
+    doc["generators"][0][1][0] = 0.5
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    assert main(["build", "--basis", str(tampered), "--params", str(paths["params"]),
+                 "--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "generators:" in err
+
+
 def test_simulate_noise_seed_reproducible(workdir):
     paths, _, _ = workdir
     main(["build", "--basis", str(paths["basis"]),

@@ -77,6 +77,59 @@ def test_basis_round_trip(one_qubit, tmp_path):
     assert doc["schema"] == "oqsident/basis/1"
 
 
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_written_basis_reads_back_equal(num_qubits, normalized, tmp_path):
+    basis = build_basis(num_qubits, normalized=normalized)
+    tensors = structure_constants(basis)
+    path = tmp_path / "basis.json"
+    write_basis(path, basis, tensors)
+    basis2, tensors2 = read_basis(path)
+    assert basis2.words == basis.words
+    assert np.array_equal(basis2.generators, basis.generators)
+    assert np.array_equal(basis2.identity, basis.identity)
+    for name in ("f_ind", "f_val", "g_ind", "g_val"):
+        assert np.array_equal(getattr(tensors2, name), getattr(tensors, name))
+
+
+def _tamper(doc, field):
+    if field == "generators":
+        doc["generators"][4][5][0] += 1e-9
+    elif field == "words":
+        doc["words"][0], doc["words"][1] = doc["words"][1], doc["words"][0]
+    elif field == "identity":
+        doc["identity"][0][0] *= -1
+    else:  # one f or g record's sign flipped
+        doc[field][3][3] *= -1
+
+
+@pytest.mark.parametrize("field", ["generators", "words", "identity", "f", "g"])
+def test_tampered_basis_refused(field, tmp_path):
+    basis = build_basis(2)
+    path = tmp_path / "basis.json"
+    write_basis(path, basis, structure_constants(basis))
+    doc = json.loads(path.read_text())
+    _tamper(doc, field)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        read_basis(path)
+    assert str(exc.value).startswith(f"{path}: {field}:")
+
+
+def test_rounded_structure_constants_still_read(tmp_path):
+    # files written when f and g came from trace projection may carry
+    # values a few ulps off the closed-form ones
+    basis = build_basis(3)
+    path = tmp_path / "basis.json"
+    write_basis(path, basis, structure_constants(basis))
+    doc = json.loads(path.read_text())
+    for rec in doc["f"][:50] + doc["g"][:50]:
+        rec[3] = float(np.nextafter(rec[3], 0.0))
+    path.write_text(json.dumps(doc))
+    _, tensors = read_basis(path)
+    assert tensors.f_val[0] == doc["f"][0][3]
+
+
 def test_params_round_trip(tmp_path):
     rng = np.random.default_rng(401)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

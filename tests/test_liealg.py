@@ -5,7 +5,7 @@ import pytest
 
 from oqsident import build_basis, pauli_words, structure_constants, verify_sparsity
 from oqsident.liealg import LieBasis, pauli_transform
-from oracles import f_dense, g_dense, word_stack
+from oracles import f_dense, g_dense, kronecker_stack, phase_power_constants, word_stack
 
 
 def levi_civita():
@@ -165,23 +165,57 @@ def test_sparsity_one_per_pair():
         assert rep.one_per_pair
 
 
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_word_codes_match_kronecker_oracle(num_qubits, normalized):
+    basis = build_basis(num_qubits, normalized=normalized)
+    identity, generators = kronecker_stack(num_qubits, normalized)
+    assert np.array_equal(basis.identity, identity)
+    assert np.array_equal(basis.generators, generators)
+    t = structure_constants(basis)
+    f_ind, f_val, g_ind, g_val = phase_power_constants(num_qubits, normalized)
+    assert np.array_equal(t.f_ind, f_ind)
+    assert np.array_equal(t.f_val, f_val)
+    assert np.array_equal(t.g_ind, g_ind)
+    assert np.array_equal(t.g_val, g_val)
+
+
+def _with(basis, **fields):
+    return LieBasis(**{**vars(basis), **fields})
+
+
+def _rotated(basis):
+    """U F U^dagger for a random unitary U: Hermitian, traceless and
+    trace-orthonormal, but not the Pauli word stack of the package."""
+    N = basis.dim
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    F = U @ basis.generators @ U.conj().T
+    assert np.max(np.abs(F - F.conj().transpose(0, 2, 1))) < 1e-12
+    assert np.max(np.abs(np.trace(F, axis1=1, axis2=2))) < 1e-12
+    assert np.max(np.abs(np.einsum("mab,nba->mn", F, F) - np.eye(basis.n))) < 1e-12
+    return F
+
+
 def test_broken_basis_rejected():
-    basis = build_basis(1)
-    gens = basis.generators.copy()
+    one, two = build_basis(1), build_basis(2)
+    gens = one.generators.copy()
     gens[0] = gens[0] + 0.01j * np.eye(2)  # not Hermitian
-    broken = LieBasis(
-        num_qubits=1,
-        dim=2,
-        n=3,
-        words=basis.words,
-        generators=gens,
-        identity=basis.identity,
-        normalized=True,
-    )
-    with pytest.raises(ValueError):
-        broken.validate()
-    with pytest.raises(ValueError):
-        structure_constants(broken)
+    swapped = list(two.words)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    cases = [
+        ("generators", _with(one, generators=gens)),
+        ("generators", _with(two, generators=_rotated(two))),
+        ("identity", _with(two, identity=-two.identity)),  # Tr(I I) is still 1
+        ("identity", _with(two, identity=np.eye(2))),
+        ("words", _with(two, words=swapped)),
+        ("dim, n", _with(two, n=14)),
+    ]
+    for field, broken in cases:
+        with pytest.raises(ValueError, match=field):
+            broken.validate()
+        with pytest.raises(ValueError, match=field):
+            structure_constants(broken)
 
 
 def test_validate_catches_scale_error():
