@@ -12,10 +12,12 @@ run on a random Hermitian PSD gamma, reconstruct_symmetric on a random real
 PSD gamma, theta normal, as in the ROADMAP baseline table.  The record
 stages follow the records-2q benchmark workload on the real-gamma system:
 simulate from one random mixed state on golden_schedule(T=0.5, l=2,
-frames=n+2) at 1-3 qubits, then fit_multirate, single_rate_models and
-reconstruct_continuous on that record at 1-2 qubits (at 3 qubits the
-frame-start states are rank deficient, so reconstruct_continuous runs on
-exact_multirate_model of A on a 3-frame schedule).  Only public calls are timed, so the script runs
+frames=n+2) (20 frames at 4 qubits), with the default exact propagators
+and with RK4 at steps_per_interval=50, then fit_multirate,
+single_rate_models and reconstruct_continuous on that record at 1-2
+qubits (at 3 qubits the frame-start states are rank deficient, so
+reconstruct_continuous runs on exact_multirate_model of A on a 3-frame
+schedule).  Only public calls are timed, so the script runs
 against any checkout that exports them.
 """
 
@@ -76,12 +78,15 @@ def stage_calls(q, rng, tmp):
         "reconstruct_general": lambda: reconstruct_general(sys_h.A, sys_h.beta, mats),
         "reconstruct_symmetric": lambda: reconstruct_symmetric(sys_s.A, mats),
     }
-    if q > 3:
-        return calls
-    sched = golden_schedule(T=0.5, l=2, frames=n + 2)
+    sched = golden_schedule(T=0.5, l=2, frames=min(n + 2, 20))
     rho = psd(rng, basis.dim, True)
     x0 = rho_to_coherence(rho / np.trace(rho), basis)
     calls["simulate"] = lambda: simulate(sys_s, sched, x0=x0)
+    calls["simulate (RK4, steps_per_interval=50)"] = lambda: simulate(
+        sys_s, sched, x0=x0, steps_per_interval=50
+    )
+    if q > 3:
+        return calls
     if q == 3:
         exact = single_rate_models(
             exact_multirate_model(sys_s.A, np.zeros((n, 1)), sys_s.C, golden_schedule(0.5, 2, 3))
@@ -109,7 +114,7 @@ def main():
                 timer = timeit.Timer(call)
                 number = max(1, int(0.01 / timer.timeit(1)))
                 best = min(timer.repeat(args.repeat, number)) / number
-                print(f"{q} qubits  {name:37s} {best * 1e3:9.3f} ms")
+                print(f"{q} qubits  {name:40s} {best * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

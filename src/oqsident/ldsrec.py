@@ -157,11 +157,14 @@ def _frame_weights(record, X0, C):
 def fit_multirate(record, schedule, order, C=None):
     """Weighted least-squares fit of per-offset transition matrices.
 
-    Regresses x(kT + t_i) = G_i x(kT) over frames k, offset by offset,
+    Regresses x(kT + t_i) = G_i x(kT) over frames k for every offset i,
     and x((k+1)T) = G x(kT) for the frame map, frame k's equations scaled
-    by the weight of `_frame_weights`.  States are taken from snapshots
-    when the record carries them, otherwise recovered per sample from
-    y = C x, which needs C of full column rank.
+    by the weight of `_frame_weights`.  All maps share the regressor X0
+    of frame-start states, so they are one least-squares solve with the
+    targets stacked; X0 must have full numerical rank, unweighted.
+    States are taken from snapshots when the record carries them,
+    otherwise recovered per sample from y = C x, which needs C of full
+    column rank.
 
     The record must cover every offset of every frame (the layout the
     simulator produces).  Input maps F are not fit here; autonomous
@@ -172,20 +175,23 @@ def fit_multirate(record, schedule, order, C=None):
     l = schedule.l
     X, C_used = _states_from_record(record, order, C)
 
-    by_key = {}
-    for s in range(len(record.t)):
-        by_key[(int(record.frame[s]), int(record.offset_index[s]))] = X[s]
+    # sample index of (frame k, offset i), -1 where the record has none;
+    # frame k ends at (k + 1, 0), and the last frame at (M - 1, l + 1)
+    frame = np.asarray(record.frame, dtype=int)
+    offset = np.asarray(record.offset_index, dtype=int)
+    inside = (frame >= 0) & (frame < M) & (offset >= 0) & (offset <= l + 1)
+    at = np.full((M, l + 2), -1)
+    at[frame[inside], offset[inside]] = np.flatnonzero(inside)
+    missing = np.argwhere(at[:, : l + 1].T < 0)
+    if len(missing):
+        i, k = missing[0]
+        raise ValueError(f"record is missing frame {k}, offset {i}")
+    if at[M - 1, l + 1] < 0:
+        raise ValueError(f"record is missing the frame-end state for frame {M - 1}")
+    ends = np.append(at[1:, 0], at[M - 1, l + 1])
+    X0 = X[at[:, 0]]  # (M, order)
+    targets = np.concatenate([X[at[:, 1 : l + 1]], X[ends][:, None]], axis=1)
 
-    def column_block(offset):
-        cols = []
-        for k in range(M):
-            key = (k, offset)
-            if key not in by_key:
-                raise ValueError(f"record is missing frame {k}, offset {offset}")
-            cols.append(by_key[key])
-        return np.array(cols).T  # (order, M)
-
-    X0 = column_block(0)
     rank0 = np.linalg.matrix_rank(X0)
     if rank0 < order:
         raise ValueError(
@@ -193,25 +199,12 @@ def fit_multirate(record, schedule, order, C=None):
             f"{order} directions; more frames or a richer initial state needed"
         )
 
-    w = _frame_weights(record, X0, C_used)
-
-    def regress(target):
-        # solve K (X0 W) = target W for K, W = diag(w)
-        K, *_ = np.linalg.lstsq((X0 * w).T, (target * w).T, rcond=None)
-        return K.T
-
-    G_offsets = [np.eye(order)]
-    for i in range(1, l + 1):
-        G_offsets.append(regress(column_block(i)))
-
-    nxt = []
-    for k in range(M):
-        key = (k + 1, 0) if k + 1 < M else (M - 1, l + 1)
-        if key not in by_key:
-            raise ValueError(f"record is missing the frame-end state for frame {k}")
-        nxt.append(by_key[key])
-    G = regress(np.array(nxt).T)
-    G_offsets.append(G)
+    # solve (W X0) K = W targets for every map at once, W = diag(w): one
+    # factorization of W X0, and G_i = K_i^T for the i-th block of columns
+    w = _frame_weights(record, X0.T, C_used)[:, None]
+    K = np.linalg.lstsq(X0 * w, targets.reshape(M, -1) * w, rcond=None)[0]
+    G_offsets = [np.eye(order)] + list(K.reshape(order, l + 1, order).transpose(1, 2, 0))
+    G = G_offsets[-1]
 
     Gamma = np.vstack([C_used @ G_offsets[i] for i in range(l + 1)])
     return DiscreteMultirateModel(
@@ -282,7 +275,9 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
     None.
 
     Returns a ContinuousModel with per-rate relative residuals
-    ||expm(A tau_i) - G_tau_i|| / ||G_tau_i|| for self-diagnosis.
+    ||expm(A tau_i) - G_tau_i|| / ||G_tau_i|| for self-diagnosis, each
+    expm(A tau_i) = V diag(exp(mu tau_i)) V^{-1} taken in the eigenbasis
+    that A = V diag(mu) V^{-1} is built from.
     """
     taus = np.asarray(family.taus, dtype=float)
     G_list = family.G_taus
@@ -337,7 +332,8 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
     if np.all(np.isfinite(W)):
         V = W / np.linalg.norm(W, axis=0)
 
-    A = V @ np.diag(mu) @ np.linalg.inv(V)
+    Vinv = np.linalg.inv(V)
+    A = V @ np.diag(mu) @ Vinv
     imag_res = np.max(np.abs(A.imag))
     if imag_res > 1e-6 * (1.0 + np.max(np.abs(A.real))):
         raise ValueError(
@@ -348,9 +344,8 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
 
     residuals = []
     for G, tau in zip(G_list, taus):
-        residuals.append(
-            float(np.linalg.norm(expm(A * tau) - G) / max(np.linalg.norm(G), 1e-300))
-        )
+        G_fit = ((V * np.exp(mu * tau)) @ Vinv).real
+        residuals.append(float(np.linalg.norm(G_fit - G) / max(np.linalg.norm(G), 1e-300)))
 
     B = None
     notes = []

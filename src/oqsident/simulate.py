@@ -1,11 +1,14 @@
-"""Fixed-step simulation of coherence-vector dynamics under pulsed controls.
+"""Simulation of coherence-vector dynamics under pulsed controls.
 
-The integrator is classical RK4 with steps aligned to every pulse edge and
-every sample stamp, so the piecewise-constant control never changes inside
-a step.  Between two events the drift is constant, one RK4 step is an exact
-affine map, and the segment's equal steps are applied at once as a power of
-that one-step propagator: one propagator power per distinct segment width
-and input, reused by every segment that repeats them.
+Segments run between events: every pulse edge and every sample stamp, so
+the piecewise-constant control never changes inside one.  On a segment
+the drift is constant, and the state z = [x; 1] advances by one matrix,
+formed once per distinct segment width and input and reused by every
+segment that repeats them.  By default that matrix is the exact flow,
+the matrix exponential of the segment's affine generator (Van Loan's
+augmented block); all distinct segments go through one batched `expm`.
+An integer `steps_per_interval` selects classical RK4 instead, its equal
+steps applied at once as a power of the one-step propagator.
 
 Sampling follows a multirate pattern: a frame of length T is subdivided by
 offsets t_0 = 0 < t_1 < ... < t_{l+1} = T and the pattern repeats for a
@@ -24,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 
 from .gksl import CoherenceSystem, EmbeddedSystem
 
@@ -168,9 +172,9 @@ def simulate(
     noise_sigma=0.0,
     seed=None,
     record_states=False,
-    steps_per_interval=50,
+    steps_per_interval=None,
 ):
-    """Integrate dx/dt = A x + beta + sum_c u_c N_c x and sample y = C x.
+    """Propagate dx/dt = A x + beta + sum_c u_c N_c x and sample y = C x.
 
     Parameters
     ----------
@@ -183,18 +187,29 @@ def simulate(
         Initial state; defaults to the system's stored x0.
     noise_sigma : float
         Standard deviation of iid Gaussian noise added to every output
-        sample.  Zero gives the noiseless record.
+        sample; finite and nonnegative.  Zero gives the noiseless record.
     seed : int, optional
         Seed for the noise generator; runs are reproducible given a seed.
     record_states : bool
         Also store exact state snapshots at the stamps (oracle mode).
-    steps_per_interval : int
-        RK4 resolution: the step never exceeds min(tau_i) divided by this.
+    steps_per_interval : int, optional
+        None (the default) propagates each segment by the exact flow, the
+        matrix exponential of its affine generator.  A positive integer
+        selects RK4 instead, its step never exceeding min(tau_i) divided
+        by this.
 
     Returns
     -------
     MeasurementRecord
     """
+    if steps_per_interval is not None and not (
+        isinstance(steps_per_interval, (int, np.integer)) and steps_per_interval >= 1
+    ):
+        raise ValueError(
+            f"steps_per_interval must be None or a positive integer, got {steps_per_interval!r}"
+        )
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
     A, beta, N_list, C, x_default = _unpack_system(sys)
     dim = A.shape[0]
     x = np.array(x_default if x0 is None else x0, dtype=float)
@@ -215,91 +230,75 @@ def simulate(
     l = schedule.l
 
     # Sample stamps, one canonical arithmetic so event times match exactly.
-    stamps = []  # (time, frame, offset index)
-    for k in range(M):
-        for i in range(l + 1):
-            stamps.append((k * T + times[i], k, i))
-    stamps.append(((M - 1) * T + times[l + 1], M - 1, l + 1))
-    stamp_times = np.array([s[0] for s in stamps])
+    frame = np.append(np.repeat(np.arange(M), l + 1), M - 1)
+    offset = np.append(np.tile(np.arange(l + 1), M), l + 1)
+    stamp_times = frame * T + times[offset]
     t_end = stamp_times[-1]
 
     edges = [p.tau for p in pulses if 0.0 < p.tau < t_end]
     events = np.unique(np.concatenate([stamp_times, np.array(edges), [0.0, t_end]]))
+    starts = events[:-1]
 
-    h_max = schedule.taus.min() / steps_per_interval
+    # Inputs per segment and the pulse active at each stamp (the first one
+    # listed); a pulse is on while t < tau, so zero widths never are.
+    U = np.zeros((len(starts), n_channels))
+    pulse_id = np.full(len(stamp_times), -1)
+    for idx, p in enumerate(pulses):
+        U[starts < p.tau, p.channel] += p.alpha
+        pulse_id[(stamp_times < p.tau) & (pulse_id < 0)] = idx
+    # segments share a propagator when their width and input bytes agree
+    keys = np.column_stack([np.diff(events), U])
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, segment_key = np.unique(rows, return_index=True, return_inverse=True)
 
-    def u_vector(t):
-        u = np.zeros(n_channels)
-        for p in pulses:
-            if p.tau > 0 and t < p.tau:
-                u[p.channel] += p.alpha
-        return u
-
-    def active_pulse(t):
-        for idx, p in enumerate(pulses):
-            if p.tau > 0 and t < p.tau:
-                return idx
-        return -1
-
-    rng = np.random.default_rng(seed)
-    p_out = C.shape[0]
-    rec_t, rec_y, rec_frame, rec_off, rec_pid, rec_x = [], [], [], [], [], []
-    ptr = 0
-
-    def record_at(t_now):
-        nonlocal ptr
-        while ptr < len(stamps) and stamps[ptr][0] == t_now:
-            _, k, i = stamps[ptr]
-            y = C @ x
-            if noise_sigma > 0:
-                y = y + noise_sigma * rng.standard_normal(p_out)
-            rec_t.append(t_now)
-            rec_y.append(y)
-            rec_frame.append(k)
-            rec_off.append(i)
-            rec_pid.append(active_pulse(t_now))
-            if record_states:
-                rec_x.append(x.copy())
-            ptr += 1
-
-    # One RK4 step of size h on the affine system is exactly z -> P z with
-    # z = [x; 1], P = I + H + H^2/2 + H^3/6 + H^4/24, H = h [[Mseg, beta], [0, 0]],
-    # so the nstep equal steps of a segment are P^nstep.  That power depends
-    # only on the segment's width b - a (exactly as computed here) and its
-    # input, so it is formed once per distinct pair.  The last row of every
-    # power is exactly [0 .. 0 1], so z keeps its trailing 1 exactly.
+    # One propagator of z = [x; 1] per distinct segment width and input,
+    # from H = h [[A + sum_c u_c N_c, beta], [0, 0]].  Exactly it is expm(H)
+    # with h the width, all distinct segments in one batched call.  One RK4
+    # step of size h is exactly P = I + H + H^2/2 + H^3/6 + H^4/24, so
+    # nstep equal steps are P^nstep.  A zero row of H (the trailing 1, and
+    # an embedded state's last entry) is an identity row of the flow, set
+    # exactly so that entry stays 1.
+    h_max = None if steps_per_interval is None else schedule.taus.min() / steps_per_interval
     eye = np.eye(dim + 1)
-    H = np.zeros((dim + 1, dim + 1))  # last row stays zero
-    powers = {}
-    z = np.append(x, 1.0)
-    record_at(events[0])
-    for a, b in zip(events[:-1], events[1:]):
-        u = u_vector(a)
-        key = (b - a, u.tobytes())
-        if key not in powers:
-            Mseg = A.copy()
-            for c in np.nonzero(u)[0]:
-                Mseg = Mseg + u[c] * N_list[c]
-            nstep = max(1, math.ceil((b - a) / h_max))
-            h = (b - a) / nstep
-            H[:dim, :dim] = h * Mseg
-            H[:dim, dim] = h * beta
+    H = np.zeros((len(first), dim + 1, dim + 1))  # last rows stay zero
+    props = []
+    for H_k, (width, *u) in zip(H, keys[first]):
+        Mseg = A.copy()
+        for c in np.nonzero(u)[0]:
+            Mseg = Mseg + u[c] * N_list[c]
+        nstep = 1 if h_max is None else max(1, math.ceil(width / h_max))
+        h = width / nstep
+        H_k[:dim, :dim] = h * Mseg
+        H_k[:dim, dim] = h * beta
+        if h_max is not None:
             # Horner form: P = I + H (I + H (I + H (I + H/4) / 3) / 2)
-            P = eye + H / 4.0
+            P = eye + H_k / 4.0
             for d in (3.0, 2.0, 1.0):
-                P = eye + (H @ P) / d
-            powers[key] = np.linalg.matrix_power(P, nstep)
-        z = powers[key] @ z
-        x = z[:dim]
-        record_at(b)
+                P = eye + (H_k @ P) / d
+            props.append(np.linalg.matrix_power(P, nstep))
+    if h_max is None:
+        props = expm(H)
+        fixed = np.nonzero(~H.any(axis=2))
+        props[fixed] = eye[fixed[1]]
+
+    Z = np.empty((len(events), dim + 1))
+    Z[0, :dim] = x
+    Z[0, dim] = 1.0
+    for j, k in enumerate(segment_key):
+        np.matmul(props[k], Z[j], out=Z[j + 1])
+
+    X = Z[np.searchsorted(events, stamp_times), :dim]
+    y = X @ C.T
+    if noise_sigma > 0:
+        y += noise_sigma * np.random.default_rng(seed).standard_normal(y.shape)
 
     return MeasurementRecord(
-        t=np.array(rec_t),
-        y=np.array(rec_y),
-        frame=np.array(rec_frame, dtype=int),
-        offset_index=np.array(rec_off, dtype=int),
-        pulse_id=np.array(rec_pid, dtype=int),
-        x=np.array(rec_x) if record_states else None,
+        t=stamp_times,
+        y=y,
+        frame=frame,
+        offset_index=offset,
+        pulse_id=pulse_id,
+        x=X if record_states else None,
         meta={
             "noise_sigma": noise_sigma,
             "seed": seed,

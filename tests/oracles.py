@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 
 from oqsident.gksl import EmbeddedSystem
+from oqsident.ldsrec import _frame_weights, _states_from_record
 
 # Single-qubit symbols in the lexicographic order of `liealg.pauli_words`.
 _SIGMA = [
@@ -361,6 +362,31 @@ def simulate_reference(sys, schedule, pulses=(), x0=None, noise_sigma=0.0, seed=
             y = y + noise_sigma * rng.standard_normal(C.shape[0])
         ys.append(y)
     return np.array(ys), np.array([states[t] for t in stamps])
+
+
+def per_offset_fit_reference(record, schedule, order, C=None):
+    """G_offsets of `ldsrec.fit_multirate` with one weighted least-squares
+    solve per offset map and one for the frame map, each against the
+    frame-start states, and the samples looked up by (frame, offset) in a
+    dict, as the fit was written before it stacked the targets.  Also
+    returns the weighted regressor W X0."""
+    M, l = schedule.frames, schedule.l
+    X, C_used = _states_from_record(record, order, C)
+    by_key = {(int(k), int(i)): X[s]
+              for s, (k, i) in enumerate(zip(record.frame, record.offset_index))}
+    X0 = np.array([by_key[(k, 0)] for k in range(M)]).T
+    w = _frame_weights(record, X0, C_used)
+
+    def regress(target):
+        K, *_ = np.linalg.lstsq((X0 * w).T, (target * w).T, rcond=None)
+        return K.T
+
+    G_offsets = [np.eye(order)]
+    for i in range(1, l + 1):
+        G_offsets.append(regress(np.array([by_key[(k, i)] for k in range(M)]).T))
+    ends = [by_key[(k + 1, 0) if k + 1 < M else (M - 1, l + 1)] for k in range(M)]
+    G_offsets.append(regress(np.array(ends).T))
+    return G_offsets, (X0 * w).T
 
 
 def branch_match_reference(family, match_tol=1e-6, cond_cap=1e12):

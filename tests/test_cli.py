@@ -219,6 +219,20 @@ def test_simulate_noise_seed_reproducible(workdir):
     assert np.array_equal(outs[0].y, outs[1].y)
 
 
+def test_simulate_negative_noise_exits_one(workdir, capsys):
+    paths, _, _ = workdir
+    main(["build", "--basis", str(paths["basis"]),
+          "--params", str(paths["params"]), "--out", str(paths["system"])])
+    capsys.readouterr()
+    assert main(["simulate", "--system", str(paths["system"]),
+                 "--schedule", str(paths["schedule"]),
+                 "--noise", "-1", "--out", str(paths["record"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "noise_sigma" in err
+    assert not paths["record"].exists()
+
+
 def test_demo_command(tmp_path, capsys):
     out_dir = tmp_path / "demo"
     code = main(["demo", "two-qubit", "--out-dir", str(out_dir)])

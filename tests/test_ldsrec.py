@@ -30,7 +30,7 @@ from oqsident import (
 from oqsident.gksl import CoherenceSystem
 from oqsident.ldsrec import SingleRateFamily, _frame_weights
 from oqsident.simulate import MeasurementRecord, SamplingSchedule
-from oracles import branch_match_reference, single_rate_reference
+from oracles import branch_match_reference, per_offset_fit_reference, single_rate_reference
 
 
 def rot(w):
@@ -287,13 +287,13 @@ def test_branch_refusal_text_matches_per_mode_reference(make):
     assert str(got.value) == str(ref.value)
 
 
-_BASES = {q: build_basis(q) for q in (1, 2)}
+_BASES = {q: build_basis(q) for q in (1, 2, 3)}
 _TENSORS = {q: structure_constants(b) for q, b in _BASES.items()}
 
 
-def gksl_family(qubits, seed, fitted, noise_sigma):
-    """Single-rate family of a random symmetric-gamma GKSL drift on the
-    records-2q schedule: exact, or fitted from a simulated record."""
+def gksl_record(qubits, seed, noise_sigma, steps_per_interval=None):
+    """(system, schedule, record) of a random symmetric-gamma GKSL drift
+    from a random mixed state on the records-2q schedule."""
     basis = _BASES[qubits]
     n = basis.n
     rng = np.random.default_rng(seed)
@@ -301,13 +301,23 @@ def gksl_family(qubits, seed, fitted, noise_sigma):
     params = GkslParams(theta=rng.normal(size=n), gamma=0.4 * m @ m.T / n, symmetric=True)
     sys = assemble_system(basis, _TENSORS[qubits], params)
     sched = golden_schedule(T=0.5, l=2, frames=n + 2)
-    if not fitted:
-        return single_rate_models(exact_multirate_model(sys.A, np.zeros((n, 1)), sys.C, sched))
     v = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
     rho = v @ v.conj().T
     record = simulate(sys, sched, x0=rho_to_coherence(rho / np.trace(rho), basis),
-                      noise_sigma=noise_sigma, seed=seed)
-    return single_rate_models(fit_multirate(record, sched, n, C=sys.C))
+                      noise_sigma=noise_sigma, seed=seed,
+                      steps_per_interval=steps_per_interval)
+    return sys, sched, record
+
+
+def gksl_family(qubits, seed, fitted, noise_sigma):
+    """Single-rate family of a random symmetric-gamma GKSL drift on the
+    records-2q schedule: exact, or fitted from a simulated record."""
+    sys, sched, record = gksl_record(qubits, seed, noise_sigma)
+    if not fitted:
+        return single_rate_models(
+            exact_multirate_model(sys.A, np.zeros((sys.n, 1)), sys.C, sched)
+        )
+    return single_rate_models(fit_multirate(record, sched, sys.n, C=sys.C))
 
 
 @settings(max_examples=40, deadline=None)
@@ -415,6 +425,46 @@ def test_fit_multirate_missing_stamp():
     rec.y = rec.y[:-1]
     with pytest.raises(ValueError, match="missing the frame-end state"):
         fit_multirate(rec, sched, order=2)
+
+
+def test_fit_multirate_missing_interior_offset():
+    rng = np.random.default_rng(233)
+    sys = linear_system(random_stable(rng, 2))
+    sched = golden_schedule(T=0.5, l=2, frames=4)
+    rec = simulate(sys, sched, x0=rng.normal(size=2), record_states=True)
+    keep = ~((rec.frame == 2) & (rec.offset_index == 1))
+    for name in ("t", "y", "x", "frame", "offset_index", "pulse_id"):
+        setattr(rec, name, getattr(rec, name)[keep])
+    with pytest.raises(ValueError, match="record is missing frame 2, offset 1"):
+        fit_multirate(rec, sched, order=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    qubits=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    steps_per_interval=st.sampled_from([None, 50]),
+    noise_sigma=st.sampled_from([0.0, 1e-9]),
+)
+def test_stacked_fit_matches_per_offset_fits(qubits, seed, steps_per_interval, noise_sigma):
+    # one solve with the targets stacked gives the maps of one solve per
+    # map: within 1e-12, or within the rounding eps cond(W X0) that any
+    # backward-stable solve of the weighted regression carries if larger
+    sys, sched, record = gksl_record(qubits, seed, noise_sigma, steps_per_interval)
+    ref, WX0 = per_offset_fit_reference(record, sched, sys.n, C=sys.C)
+    got = fit_multirate(record, sched, sys.n, C=sys.C).G_offsets
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(WX0))
+    assert len(got) == len(ref)
+    for G, G_ref in zip(got, ref):
+        assert np.linalg.norm(G - G_ref) <= tol * np.linalg.norm(G_ref)
+
+
+def test_fit_multirate_three_qubit_trajectory_rank_deficient():
+    # one decaying 3-qubit trajectory: its frame-start states span only
+    # part of the 63 directions
+    sys, sched, record = gksl_record(3, 0, 0.0)
+    with pytest.raises(ValueError, match="rank-deficient regression"):
+        fit_multirate(record, sched, sys.n, C=sys.C)
 
 
 def _decaying_two_qubit_record(noise_sigma=0.0):

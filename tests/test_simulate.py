@@ -1,13 +1,15 @@
-"""Integrator, schedules, and pulse bookkeeping.
+"""Propagators, schedules, and pulse bookkeeping.
 
 The oracle for trajectory checks is the matrix exponential of the
-embedded drift, evaluated piecewise over the constant-input segments.
-The step-by-step RK4 loop is kept here as the reference for the
-propagator powers `simulate` takes over each segment, and
+embedded drift, evaluated piecewise over the constant-input segments;
+`simulate` follows that exact flow by default.  The step-by-step RK4
+loop is kept here as the reference for the propagator powers `simulate`
+takes over each segment when given `steps_per_interval`, and
 `oracles.simulate_reference`, which forms that power afresh for every
 segment, as the bit-for-bit reference for reusing it.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -26,12 +28,15 @@ from oqsident import (
     embed_standard_form,
     golden_schedule,
     make_pulse_family,
+    rho_to_coherence,
     simulate,
     structure_constants,
 )
 from oqsident.gksl import CoherenceSystem
 from oracles import segment_drifts, simulate_reference
 
+# the package exports the function `simulate` under the module's name
+simulate_module = importlib.import_module("oqsident.simulate")
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
 
@@ -222,12 +227,42 @@ def test_rk4_step_refinement():
 def test_record_len_and_meta():
     sys = toy_system(np.zeros((3, 3)))
     sched = golden_schedule(T=0.4, l=2, frames=3)
-    rec = simulate(sys, sched, x0=np.zeros(3), seed=5)
+    rec = simulate(sys, sched, x0=np.zeros(3), seed=5, steps_per_interval=50)
     assert isinstance(rec, MeasurementRecord)
     assert len(rec) == 3 * 3 + 1
     assert rec.x is None
     assert rec.meta["seed"] == 5
     assert rec.meta["steps_per_interval"] == 50
+
+
+def test_exact_record_len_and_meta():
+    # the default is the exact flow, stated as steps_per_interval None
+    sys = toy_system(np.array([[0.0, 4.0], [-4.0, -0.5]]))
+    sched = golden_schedule(T=0.4, l=2, frames=3)
+    rec = simulate(sys, sched, x0=np.array([1.0, 0.0]), seed=5, record_states=True)
+    assert len(rec) == 3 * 3 + 1
+    assert rec.meta["seed"] == 5
+    assert rec.meta["steps_per_interval"] is None
+    exact = exact_states(sys, sched, [], np.array([1.0, 0.0]))
+    assert np.linalg.norm(rec.x - exact) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("steps_per_interval", -5),
+        ("steps_per_interval", 0),
+        ("steps_per_interval", 2.5),
+        ("noise_sigma", -1.0),
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
+    ],
+)
+def test_invalid_resolution_or_noise_rejected(name, value):
+    sys = toy_system(np.zeros((2, 2)))
+    sched = golden_schedule(T=0.5, l=1)
+    with pytest.raises(ValueError, match=name):
+        simulate(sys, sched, x0=np.zeros(2), **{name: value})
 
 
 def rk4_reference(sys, schedule, pulses, x0, steps_per_interval):
@@ -306,6 +341,56 @@ def test_segment_propagator_matches_stepwise_rk4(
     assert np.array_equal(embedded.x[:, 3], np.ones(len(embedded)))
 
 
+_BASES = {q: build_basis(q) for q in (1, 2, 3)}
+_TENSORS = {q: structure_constants(b) for q, b in _BASES.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    qubits=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    pulses=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.integers(0, 62)),
+        max_size=4,
+    ),
+    T=st.floats(0.3, 1.2),
+    l=st.integers(0, 3),
+    frames=st.integers(1, 3),
+    embedded=st.booleans(),
+    noise_sigma=st.sampled_from([0.0, 1e-3]),
+)
+def test_default_matches_piecewise_expm(qubits, seed, pulses, T, l, frames, embedded,
+                                        noise_sigma):
+    # a physical generator with Hermitian PSD gamma (so beta != 0 in
+    # general) from a random mixed state, under pulses on several
+    # channels whose edges fall inside the sampling intervals
+    basis = _BASES[qubits]
+    n = basis.n
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    params = GkslParams(theta=rng.normal(size=n), gamma=0.5 * m @ m.conj().T / n)
+    sys = assemble_system(basis, _TENSORS[qubits], params)
+    v = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+    x0 = rho_to_coherence(v @ v.conj().T / np.trace(v @ v.conj().T), basis)
+    sched = golden_schedule(T=T, l=l, frames=frames)
+    pulses = [Pulse(tau=f * frames * T, alpha=a, channel=c % n) for f, a, c in pulses]
+
+    target = embed_standard_form(sys) if embedded else sys
+    start = np.append(x0, 1.0) if embedded else x0
+    rec = simulate(target, sched, pulses=pulses, x0=start, record_states=True,
+                   noise_sigma=noise_sigma, seed=seed)
+    exact = exact_states(sys, sched, pulses, x0)
+    scale = 1e-13 * np.linalg.norm(x0)
+    assert np.linalg.norm(rec.x[:, :n] - exact) <= scale
+    if embedded:
+        assert np.array_equal(rec.x[:, n], np.ones(len(rec)))
+    # outputs are C x plus the noise drawn stamp by stamp
+    C = target.C_emb if embedded else sys.C
+    draws = np.random.default_rng(seed)
+    noise = np.array([noise_sigma * draws.standard_normal(len(C)) for _ in rec.t])
+    assert np.linalg.norm(rec.y - rec.x @ C.T - noise) <= scale * np.linalg.norm(C)
+
+
 @pytest.mark.parametrize("embedded", [False, True])
 def test_one_step_per_interval_is_rk4_not_expm(embedded):
     # with one step per shortest interval the propagator power must still
@@ -377,7 +462,26 @@ def test_one_power_per_distinct_segment(monkeypatch):
     )
     sched = golden_schedule(T=0.5, l=2, frames=17)
     pulses = [Pulse(tau=0.8, alpha=1.1, channel=0)]
-    simulate(_SYS_1Q, sched, pulses=pulses, x0=np.array([0.3, -0.2, 0.4]))
+    simulate(_SYS_1Q, sched, pulses=pulses, x0=np.array([0.3, -0.2, 0.4]),
+             steps_per_interval=50)
     _, segments = segment_drifts(_SYS_1Q.A, _SYS_1Q.N_list, sched, pulses)
     distinct = {(b - a, a < 0.8) for a, b, _ in segments}
     assert len(powers) == len(distinct) < len(segments) // 4
+
+
+def test_one_expm_per_distinct_segment(monkeypatch):
+    # the exact default takes one batched expm, one matrix per distinct
+    # (width, input) pair, and no RK4 power
+    exponentiated = []
+    batched = simulate_module.expm
+    monkeypatch.setattr(
+        simulate_module, "expm", lambda H: exponentiated.append(len(H)) or batched(H)
+    )
+    monkeypatch.setattr(np.linalg, "matrix_power", None)
+    sched = golden_schedule(T=0.5, l=2, frames=17)
+    pulses = [Pulse(tau=0.8, alpha=1.1, channel=0), Pulse(tau=1.3, alpha=-0.4, channel=2)]
+    simulate(_SYS_1Q, sched, pulses=pulses, x0=np.array([0.3, -0.2, 0.4]))
+    _, segments = segment_drifts(_SYS_1Q.A, _SYS_1Q.N_list, sched, pulses)
+    distinct = {(b - a, a < 0.8, a < 1.3) for a, b, _ in segments}
+    assert exponentiated == [len(distinct)]
+    assert len(distinct) < len(segments) // 3
