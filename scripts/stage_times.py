@@ -1,4 +1,4 @@
-"""Per-call wall time of the basis, assembly, recovery and record stages at 1-4 qubits.
+"""Per-call wall time of every pipeline stage at 1-4 qubits.
 
     PYTHONPATH=src python3 scripts/stage_times.py [--qubits 1 2 3 4] [--repeat 30]
 
@@ -13,7 +13,10 @@ PSD gamma, theta normal, as in the ROADMAP baseline table.  The record
 stages follow the records-2q benchmark workload on the real-gamma system:
 simulate from one random mixed state on golden_schedule(T=0.5, l=2,
 frames=n+2) (20 frames at 4 qubits), with the default exact propagators
-and with RK4 at steps_per_interval=50, then fit_multirate,
+and with RK4 at steps_per_interval=50.  identifiability_report runs
+autonomous on the real-gamma system and that schedule, and controlled on
+the Hermitian system with make_pulse_family(0.8, [0.3, 0.7]) on channel
+0, as in the general-2q workload.  Then fit_multirate,
 single_rate_models and reconstruct_continuous on that record at 1-2
 qubits (at 3 qubits the frame-start states are rank deficient, so
 reconstruct_continuous runs on exact_multirate_model of A on a 3-frame
@@ -40,6 +43,8 @@ from oqsident import (  # noqa: E402
     exact_multirate_model,
     fit_multirate,
     golden_schedule,
+    identifiability_report,
+    make_pulse_family,
     reconstruct_continuous,
     reconstruct_general,
     read_basis,
@@ -84,6 +89,13 @@ def stage_calls(q, rng, tmp):
     calls["simulate"] = lambda: simulate(sys_s, sched, x0=x0)
     calls["simulate (RK4, steps_per_interval=50)"] = lambda: simulate(
         sys_s, sched, x0=x0, steps_per_interval=50
+    )
+    pulses = make_pulse_family(0.8, [0.3, 0.7], channel=0)
+    calls["identifiability_report, autonomous"] = lambda: identifiability_report(
+        sys_s, mode="autonomous", schedule=sched
+    )
+    calls["identifiability_report, controlled"] = lambda: identifiability_report(
+        sys_h, mode="controlled", pulses=pulses
     )
     if q > 3:
         return calls

@@ -13,21 +13,16 @@ from .gksl import (
     assemble_system,
     coherence_to_rho,
     embed_standard_form,
-    liouvillian_superoperator,
     rho_to_coherence,
 )
 from .identify import (
-    AccessibleSet,
     BilinearSpanResult,
     IdentifiabilityReport,
     LinearRankResult,
     SamplingPolicyReport,
-    accessible_set,
     bilinear_span_test,
-    hankel_matrix,
     identifiability_report,
     linear_rank_test,
-    persistency_check,
     pulse_family_check,
     sampling_policy_check,
 )

@@ -31,9 +31,6 @@ dense products with the (N^2, N^2) word stack and O(N^8) for the f/z
 contraction; the tests keep both as oracles.  For real symmetric gamma
 beta vanishes and A_d is symmetric, so A = A_l + A_d splits into its
 antisymmetric and symmetric parts.
-
-`liouvillian_superoperator` returns L on column-stacked density
-matrices, vec(A X B) = (B^T kron A) vec(X), a transpose of the same P.
 """
 
 import warnings
@@ -73,17 +70,27 @@ class GkslParams:
         return self.theta.shape[0]
 
     def validate(self, tol=1e-12, physical=False):
-        """Check shape and symmetry contracts.
+        """Check shape, finiteness and symmetry contracts.
 
-        Raises ValueError for a non-Hermitian gamma (or non-real-symmetric
-        gamma when the symmetric flag is set).  With physical=True a
-        Kossakowski matrix whose smallest eigenvalue is below -1e-10 only
-        draws a warning: non-Markovian snapshots are legitimate inputs.
+        Raises ValueError, naming theta or gamma, for a theta that is not
+        1-D or not finite, a non-finite or non-Hermitian gamma (or
+        non-real-symmetric gamma when the symmetric flag is set).  With
+        physical=True a Kossakowski matrix whose smallest eigenvalue is
+        below -1e-10 only draws a warning: non-Markovian snapshots are
+        legitimate inputs.
         """
+        if self.theta.ndim != 1:
+            raise ValueError(f"theta must be 1-D, got shape {self.theta.shape}")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("theta has non-finite entries")
         n = self.n
         if self.gamma.shape != (n, n):
             raise ValueError("gamma must be square with side len(theta)")
-        herm = np.max(np.abs(self.gamma - self.gamma.conj().T))
+        # a nan or inf anywhere in gamma makes the residual nan or inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm = np.max(np.abs(self.gamma - self.gamma.conj().T))
+        if not np.isfinite(herm) and not np.isfinite(self.gamma).all():
+            raise ValueError("gamma has non-finite entries")
         if herm > tol:
             raise ValueError(f"gamma not Hermitian (residual {herm:.3e})")
         if self.symmetric:
@@ -144,21 +151,16 @@ class EmbeddedSystem:
     x0_emb: np.ndarray
 
 
-def _generator(transform, gamma, H=None):
-    """L of (H, gamma) as its (N, N, N, N) superoperator array P with
-    L(rho)[p, q] = sum_rs P[p, r, s, q] rho[r, s] (H = 0 when None)."""
+def _generator(transform, gamma):
+    """Dissipator of gamma as its (N, N, N, N) superoperator array P with
+    D(rho)[p, q] = sum_rs P[p, r, s, q] rho[r, s]."""
     N = transform.N
     c = np.zeros((N * N, N * N), dtype=complex)
     c[1:, 1:] = gamma
     P = transform.superop(c)  # sum_jk gamma_jk F_j rho F_k
-    K = np.trace(P, axis1=0, axis2=3).T
-    left = -0.5 * K  # L(rho) = left rho + rho right + jumps
-    right = -0.5 * K
-    if H is not None:
-        left = left - 1j * H
-        right = right + 1j * H
-    P.reshape(N, N, N * N)[:, :, :: N + 1] += left[:, :, None]  # P[p, r, q, q] += left[p, r]
-    P.reshape(N * N, N, N)[:: N + 1] += right  # P[p, p, s, q] += right[s, q]
+    half = -0.5 * np.trace(P, axis1=0, axis2=3).T  # D(rho) = half rho + rho half + jumps
+    P.reshape(N, N, N * N)[:, :, :: N + 1] += half[:, :, None]  # P[p, r, q, q] += half[p, r]
+    P.reshape(N * N, N, N)[:: N + 1] += half  # P[p, p, s, q] += half[s, q]
     return P
 
 
@@ -270,29 +272,6 @@ def embed_standard_form(sys, channels=None):
     C_emb = np.hstack([sys.C, np.zeros((sys.C.shape[0], 1))])
     x0_emb = np.concatenate([sys.x0, [1.0]])
     return EmbeddedSystem(n=n, A_emb=A_emb, N_list_emb=N_emb, C_emb=C_emb, x0_emb=x0_emb)
-
-
-def liouvillian_superoperator(basis, params, u=None):
-    """Liouvillian on column-stacked density matrices.
-
-    Uses vec(A X B) = (B^T kron A) vec(X), i.e. numpy reshape with
-    order='F' on the density matrix.  Controls enter as an extra
-    Hamiltonian sum_c u_c F_c at a frozen instant; pass the momentary
-    amplitude vector as `u`.  `basis` is a Pauli word basis, normalized
-    or raw, as `build_basis` returns it.
-
-    Returns the (N^2, N^2) complex matrix L with d vec(rho)/dt = L vec(rho).
-    """
-    params.validate()
-    F = basis.generators
-    N = basis.dim
-    coeff = params.theta if u is None else params.theta + np.asarray(u, dtype=float)
-    H = np.tensordot(coeff, F, axes=1)
-    # raw words are sqrt(N) times the normalized ones
-    gamma = params.gamma if basis.normalized else N * params.gamma
-    P = _generator(pauli_transform(basis.num_qubits), gamma, H)
-    # P[p, r, s, q] is L at row p + N q and column r + N s
-    return P.transpose(3, 0, 2, 1).reshape(N * N, N * N)
 
 
 def rho_to_coherence(rho, basis):

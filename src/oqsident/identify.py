@@ -287,96 +287,6 @@ def sampling_policy_check(schedule, max_denominator=10**6, rel_tol=1e-13):
     return SamplingPolicyReport(pairs=pairs, ok=ok, declared=False)
 
 
-def hankel_matrix(u, L):
-    """Block Hankel matrix of depth L: column j holds u(j) ... u(j+L-1)."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    T, m = u.shape
-    cols = T - L + 1
-    if cols < 1:
-        raise ValueError("sample length must be at least L")
-    H = np.empty((L * m, cols))
-    for i in range(L):
-        H[i * m : (i + 1) * m, :] = u[i : i + cols].T
-    return H
-
-
-def persistency_check(samples, L=None, kind="input"):
-    """Persistency of excitation test.
-
-    kind='input': samples is the input sequence u(0..T-1) (1-D or (T, m));
-    the block Hankel matrix of depth L must have full row rank L*m.
-    Requires T - L + 1 >= L columns.
-
-    kind='state': samples holds state snapshots as columns, at least n of
-    them (n = state dimension); the matrix of all the snapshots must have
-    rank n.
-
-    Returns a plain bool.
-    """
-    if kind == "input":
-        if L is None:
-            raise ValueError("L is required for the input-sequence test")
-        u = np.asarray(samples, dtype=float)
-        T = u.shape[0]
-        if T - L + 1 < L:
-            raise ValueError(f"need T - L + 1 >= L columns, got T={T}, L={L}")
-        H = hankel_matrix(u, L)
-        return bool(np.linalg.matrix_rank(H) == H.shape[0])
-    if kind == "state":
-        X = np.atleast_2d(np.asarray(samples, dtype=float))
-        n = X.shape[0]
-        if X.shape[1] < n:
-            raise ValueError(f"need at least n={n} state snapshots, got {X.shape[1]}")
-        return bool(np.linalg.matrix_rank(X) == n)
-    raise ValueError("kind must be 'input' or 'state'")
-
-
-@dataclass
-class AccessibleSet:
-    """Closure of measured generator indices under commutators with the
-    dynamical algebra, computed on the structure constants."""
-
-    n: int
-    indices: tuple
-    iterations: int
-
-    def selector_matrix(self):
-        """0/1 output matrix selecting the accessible coherence entries."""
-        C = np.zeros((len(self.indices), self.n))
-        for row, idx in enumerate(self.indices):
-            C[row, idx] = 1.0
-        return C
-
-
-def accessible_set(tensors, measured, delta):
-    """Iteratively grow the measured index set by commutator reachability.
-
-    An index l joins the set when f_ghl is nonzero for some already
-    accessible g and some h in the dynamical set delta.  Terminates at a
-    fixed point; the number of growth iterations is recorded.
-    """
-    n = tensors.n
-    measured = set(int(i) for i in measured)
-    delta = set(int(i) for i in delta)
-    for name, s in (("measured", measured), ("delta", delta)):
-        bad = [i for i in s if not 0 <= i < n]
-        if bad:
-            raise ValueError(f"{name} indices out of range: {bad}")
-    j, k, l = tensors.f_ind.T
-    in_delta = np.isin(k, list(delta))
-    current = set(measured)
-    iterations = 0
-    while True:
-        additions = set(l[in_delta & np.isin(j, list(current))].tolist()) - current
-        if not additions:
-            break
-        current |= additions
-        iterations += 1
-    return AccessibleSet(n=n, indices=tuple(sorted(current)), iterations=iterations)
-
-
 def pulse_family_check(pulses):
     """Validate a rectangular pulse family for identification use.
 

@@ -1,7 +1,8 @@
 """Versioned JSON serialization for every artifact type.
 
 Every file carries a "schema" field like "oqsident/params/1"; readers
-refuse files with a missing or unexpected schema.  Floats go through
+refuse files with a missing or unexpected schema (`read_model` also
+accepts the older "oqsident/model/1").  Floats go through
 Python's repr (shortest round-trip form), so write/read cycles are
 bit-exact.  Complex matrices are stored as flat row-major lists of
 [re, im] pairs; real matrices as nested row-major lists; structure
@@ -33,11 +34,15 @@ _SCHEMAS = {
     "schedule": "oqsident/schedule/1",
     "pulses": "oqsident/pulses/1",
     "record": "oqsident/record/1",
-    "model": "oqsident/model/1",
+    "model": "oqsident/model/2",
     "contsys": "oqsident/contsys/1",
     "report": "oqsident/report/1",
     "params_hat": "oqsident/params_hat/1",
 }
+
+# older versions their readers still accept: model/1 also held the stacked
+# readout block Gamma, which no reader uses
+_OLD_SCHEMAS = {"model": ("oqsident/model/1",)}
 
 
 def _dump(doc, path):
@@ -52,7 +57,7 @@ def _load(path, kind):
     schema = doc.get("schema")
     if schema is None:
         raise SchemaError(f"{path}: missing schema field")
-    if schema != _SCHEMAS[kind]:
+    if schema != _SCHEMAS[kind] and schema not in _OLD_SCHEMAS.get(kind, ()):
         raise SchemaError(f"{path}: schema {schema!r}, expected {_SCHEMAS[kind]!r}")
     return doc
 
@@ -186,6 +191,7 @@ def write_system(path, sys):
         "A_l": _real(sys.A_l),
         "A_d": _real(sys.A_d),
         "beta": _real(sys.beta),
+        "channels": len(sys.N_list),
         "N_list": records,
         "C": _real(sys.C),
         "x0": _real(sys.x0),
@@ -194,11 +200,19 @@ def write_system(path, sys):
 
 
 def read_system(path):
+    """CoherenceSystem of a system file.  Files without "channels" hold n
+    control maps; a control-map record indexing outside (channels, n, n)
+    raises ValueError naming the record."""
     doc = _load(path, "system")
     n = doc["n"]
-    N_list = np.zeros((n, n, n))
-    for c, j, k, v in doc["N_list"]:
-        N_list[int(c) - 1, int(j) - 1, int(k) - 1] = float(v)
+    N_list = np.zeros((doc.get("channels", n), n, n))
+    for idx, (c, j, k, v) in enumerate(doc["N_list"]):
+        at = (int(c) - 1, int(j) - 1, int(k) - 1)
+        if not all(0 <= i < s for i, s in zip(at, N_list.shape)):
+            raise ValueError(
+                f"{path}: N_list record {idx + 1} {[c, j, k]} is outside {N_list.shape}"
+            )
+        N_list[at] = float(v)
     return CoherenceSystem(
         n=n,
         A_l=np.array(doc["A_l"], dtype=float),
@@ -247,7 +261,6 @@ def write_pulses(path, pulses):
                 "tau": float(p.tau),
                 "alpha": float(p.alpha),
                 "channel": int(p.channel) + 1,
-                "total_time": None if p.total_time is None else float(p.total_time),
             }
             for p in pulses
         ],
@@ -256,14 +269,11 @@ def write_pulses(path, pulses):
 
 
 def read_pulses(path):
+    """Pulses of a pulses file.  Keys other than tau, alpha and channel,
+    such as the end time older writers stored, are ignored."""
     doc = _load(path, "pulses")
     return [
-        Pulse(
-            tau=p["tau"],
-            alpha=p["alpha"],
-            channel=int(p["channel"]) - 1,
-            total_time=p.get("total_time"),
-        )
+        Pulse(tau=p["tau"], alpha=p["alpha"], channel=int(p["channel"]) - 1)
         for p in doc["pulses"]
     ]
 
@@ -323,7 +333,6 @@ def write_model(path, model):
         "times": _real(model.times),
         "G": _real(model.G),
         "G_offsets": [_real(Gi) for Gi in model.G_offsets],
-        "Gamma": _real(model.Gamma),
         "C": _real(model.C),
         "F": None if model.F is None else [_real(Fi) for Fi in model.F],
     }
@@ -331,6 +340,8 @@ def write_model(path, model):
 
 
 def read_model(path):
+    """DiscreteMultirateModel of a model/2 file, or of a model/1 file,
+    whose Gamma is ignored."""
     doc = _load(path, "model")
     return DiscreteMultirateModel(
         order=doc["order"],
@@ -338,7 +349,6 @@ def read_model(path):
         times=np.array(doc["times"], dtype=float),
         G=np.array(doc["G"], dtype=float),
         G_offsets=[np.array(Gi, dtype=float) for Gi in doc["G_offsets"]],
-        Gamma=np.array(doc["Gamma"], dtype=float),
         C=np.array(doc["C"], dtype=float),
         F=None if doc["F"] is None else [np.array(Fi, dtype=float) for Fi in doc["F"]],
     )

@@ -7,7 +7,6 @@ per offset, all sharing the frame map G = exp(A T):
     G_i     = exp(A t_i)
     F_tau_i = (integral_0^{tau_i} exp(A s) ds) B
     F_i     = exp(A (T - t_i)) F_tau_i
-    Gamma   = [C; C G_1; ...; C G_l]     (stacked readout block, file only)
 
 From the family of per-offset models one extracts single-rate transition
 matrices G_tau_i = exp(A tau_i) = G_{i-1}^{-1} G_i (the offset maps
@@ -44,8 +43,7 @@ class DiscreteMultirateModel:
     G_offsets[i] holds exp(A t_i) (fitted or exact) for i = 0 .. l+1, so
     G_offsets[0] is the identity and G_offsets[-1] equals G.  F holds the
     frame-tail input maps F_1 .. F_{l+1} when inputs were modeled, else
-    None.  Gamma is kept only for the `model` file schema; no
-    reconstruction step reads it.
+    None.
     """
 
     order: int
@@ -53,7 +51,6 @@ class DiscreteMultirateModel:
     times: np.ndarray
     G: np.ndarray
     G_offsets: list
-    Gamma: np.ndarray
     C: np.ndarray
     F: list = None
 
@@ -65,7 +62,6 @@ class SingleRateFamily:
     order: int
     taus: np.ndarray
     G_taus: list
-    C: np.ndarray
     F_taus: list = None
 
 
@@ -108,23 +104,27 @@ def exact_multirate_model(A, B, C, schedule):
     for i in range(1, l + 2):
         F_tau = van_loan_integral(A, times[i] - times[i - 1]) @ B
         F.append(expm(A * (T - times[i])) @ F_tau)
-    Gamma = np.vstack([C @ G_offsets[i] for i in range(l + 1)])
     return DiscreteMultirateModel(
-        order=n, T=T, times=times.copy(), G=G, G_offsets=G_offsets, Gamma=Gamma, C=C, F=F
+        order=n, T=T, times=times.copy(), G=G, G_offsets=G_offsets, C=C, F=F
     )
 
 
 def _states_from_record(record, order, C):
+    if C is not None:
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        if C.ndim != 2 or C.shape[1] != order:
+            raise ValueError(
+                f"output matrix C has shape {C.shape}; order {order} needs (p, {order})"
+            )
     if record.x is not None:
         X = np.asarray(record.x, dtype=float)
         if X.shape[1] != order:
             raise ValueError(
                 f"recorded states have dimension {X.shape[1]}, expected order {order}"
             )
-        return X, np.eye(order) if C is None else np.atleast_2d(C)
+        return X, np.eye(order) if C is None else C
     if C is None:
         raise ValueError("outputs-only fitting requires the output matrix C")
-    C = np.atleast_2d(np.asarray(C, dtype=float))
     if np.linalg.matrix_rank(C) < order:
         raise ValueError(
             "output matrix does not have full column rank; states are not "
@@ -164,7 +164,8 @@ def fit_multirate(record, schedule, order, C=None):
     targets stacked; X0 must have full numerical rank, unweighted.
     States are taken from snapshots when the record carries them,
     otherwise recovered per sample from y = C x, which needs C of full
-    column rank.
+    column rank.  A C given with other than `order` columns raises
+    ValueError naming its shape.
 
     The record must cover every offset of every frame (the layout the
     simulator produces).  Input maps F are not fit here; autonomous
@@ -206,14 +207,12 @@ def fit_multirate(record, schedule, order, C=None):
     G_offsets = [np.eye(order)] + list(K.reshape(order, l + 1, order).transpose(1, 2, 0))
     G = G_offsets[-1]
 
-    Gamma = np.vstack([C_used @ G_offsets[i] for i in range(l + 1)])
     return DiscreteMultirateModel(
         order=order,
         T=schedule.T,
         times=times.copy(),
         G=G,
         G_offsets=G_offsets,
-        Gamma=Gamma,
         C=C_used,
         F=None,
     )
@@ -245,7 +244,7 @@ def single_rate_models(model):
             F_taus.append(np.linalg.solve(model.G, model.G_offsets[i] @ model.F[i - 1]))
         F_taus.append(model.F[last - 1])
     taus = np.diff(times)
-    return SingleRateFamily(order=n, taus=taus, G_taus=G_taus, C=model.C, F_taus=F_taus)
+    return SingleRateFamily(order=n, taus=taus, G_taus=G_taus, F_taus=F_taus)
 
 
 def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):

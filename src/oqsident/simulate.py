@@ -41,13 +41,10 @@ class Pulse:
     tau: float
     alpha: float
     channel: int
-    total_time: float = None
 
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError("pulse width tau must be nonnegative")
-        if self.total_time is not None and self.total_time < self.tau:
-            raise ValueError("total_time must be at least tau")
 
 
 def make_pulse_family(alpha, taus, channel=0):

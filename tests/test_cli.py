@@ -204,6 +204,67 @@ def test_tampered_basis_exits_one(workdir, tmp_path, capsys):
     assert "generators:" in err
 
 
+def test_tampered_system_exits_one(workdir, tmp_path, capsys):
+    # a control-map record outside the stored channels, which used to
+    # escape the CLI as a bare IndexError
+    paths, _, _ = workdir
+    main(["build", "--basis", str(paths["basis"]),
+          "--params", str(paths["params"]), "--out", str(paths["system"])])
+    doc = json.loads(paths["system"].read_text())
+    doc["N_list"][0][0] = doc["channels"] + 1
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--system", str(tampered),
+                 "--schedule", str(paths["schedule"]),
+                 "--out", str(paths["record"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "N_list record 1" in err
+    assert not paths["record"].exists()
+
+
+@pytest.mark.parametrize("field", ["theta", "gamma"])
+def test_build_non_finite_params_exits_one(workdir, tmp_path, capsys, field):
+    paths, theta, gamma = workdir
+    bad = GkslParams(theta=theta.copy(), gamma=gamma.copy())
+    getattr(bad, field)[(0,) * getattr(bad, field).ndim] = np.nan
+    bad_path = tmp_path / "bad_params.json"
+    write_params(bad_path, bad)
+    assert main(["build", "--basis", str(paths["basis"]), "--params", str(bad_path),
+                 "--out", str(paths["system"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{field} has non-finite entries" in err
+    assert not paths["system"].exists()
+
+
+def test_reconstruct_lds_reads_model_v1(workdir, tmp_path):
+    # a model/1 file still holds the stacked readout block Gamma, which
+    # is ignored: it reconstructs to the same contsys as its model/2 file
+    paths, _, _ = workdir
+    main(["build", "--basis", str(paths["basis"]),
+          "--params", str(paths["params"]), "--out", str(paths["system"])])
+    main(["simulate", "--system", str(paths["system"]),
+          "--schedule", str(paths["schedule"]),
+          "--x0", "0.3,-0.4,0.5", "--states", "--out", str(paths["record"])])
+    assert main(["fit-discrete", "--record", str(paths["record"]),
+                 "--schedule", str(paths["schedule"]),
+                 "--order", "3", "--out", str(paths["model"])]) == 0
+    doc = json.loads(paths["model"].read_text())
+    assert doc["schema"] == "oqsident/model/2"
+    C, offsets = np.array(doc["C"]), doc["G_offsets"][:-1]
+    doc["schema"] = "oqsident/model/1"
+    doc["Gamma"] = np.vstack([C @ np.array(G) for G in offsets]).tolist()
+    v1 = tmp_path / "model_v1.json"
+    v1.write_text(json.dumps(doc))
+    contsys_v1 = tmp_path / "contsys_v1.json"
+    assert main(["reconstruct-lds", "--model", str(v1), "--out", str(contsys_v1)]) == 0
+    assert main(["reconstruct-lds", "--model", str(paths["model"]),
+                 "--out", str(paths["contsys"])]) == 0
+    assert contsys_v1.read_bytes() == paths["contsys"].read_bytes()
+
+
 def test_simulate_noise_seed_reproducible(workdir):
     paths, _, _ = workdir
     main(["build", "--basis", str(paths["basis"]),

@@ -14,7 +14,6 @@ from oqsident import (
     build_basis,
     coherence_to_rho,
     embed_standard_form,
-    liouvillian_superoperator,
     rho_to_coherence,
     structure_constants,
 )
@@ -97,46 +96,6 @@ def test_control_channels_match_direct_rhs():
     dx_expected = project_traceless(basis, gksl_rhs(basis, params, rho, u=u))
     dx = sys.A @ x + np.einsum("c,cjk,k->j", u, sys.N_list, x) + sys.beta
     assert np.allclose(dx, dx_expected, atol=1e-12)
-
-
-def test_liouvillian_agrees_with_direct_rhs():
-    basis = build_basis(2)
-    rng = np.random.default_rng(23)
-    n = basis.n
-    theta = rng.normal(size=n)
-    gamma = random_hermitian_gamma(rng, n)
-    params = GkslParams(theta=theta, gamma=gamma)
-    L = liouvillian_superoperator(basis, params)
-    rho = random_state(rng, basis.dim)
-    drho = gksl_rhs(basis, params, rho)
-    assert np.allclose(L @ rho.flatten(order="F"), drho.flatten(order="F"), atol=1e-12)
-
-
-def test_liouvillian_on_raw_basis_agrees_with_direct_rhs():
-    # raw words are sqrt(N) times the normalized ones, so the same gamma
-    # means N times the dissipation
-    basis = build_basis(2, normalized=False)
-    rng = np.random.default_rng(27)
-    params = GkslParams(
-        theta=rng.normal(size=basis.n), gamma=random_hermitian_gamma(rng, basis.n)
-    )
-    L = liouvillian_superoperator(basis, params)
-    rho = random_state(rng, basis.dim)
-    drho = gksl_rhs(basis, params, rho)
-    assert np.allclose(L @ rho.flatten(order="F"), drho.flatten(order="F"), atol=1e-12)
-
-
-def test_liouvillian_with_control_offset():
-    basis = build_basis(1)
-    rng = np.random.default_rng(29)
-    params = GkslParams(
-        theta=rng.normal(size=3), gamma=random_hermitian_gamma(rng, 3)
-    )
-    u = rng.normal(size=3)
-    L = liouvillian_superoperator(basis, params, u=u)
-    rho = random_state(rng, 2)
-    drho = gksl_rhs(basis, params, rho, u=u)
-    assert np.allclose(L @ rho.flatten(order="F"), drho.flatten(order="F"), atol=1e-12)
 
 
 def test_symmetric_gamma_gives_zero_beta_and_symmetric_drift():
@@ -244,3 +203,47 @@ def test_params_validation():
         GkslParams(theta=np.zeros(3), gamma=g_herm, symmetric=True).validate()
     with pytest.warns(UserWarning):
         GkslParams(theta=np.zeros(3), gamma=-np.eye(3)).validate(physical=True)
+
+
+def _with_entry(a, index, value):
+    a = np.array(a, dtype=complex)
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "theta, gamma, message",
+    [
+        ([0.0, np.nan, 1.0], np.eye(3), "theta has non-finite entries"),
+        ([0.0, -np.inf, 1.0], np.eye(3), "theta has non-finite entries"),
+        ([[0.0, 0.0, 1.0]], np.eye(3), r"theta must be 1-D, got shape \(1, 3\)"),
+        (0.5, np.eye(1), r"theta must be 1-D, got shape \(\)"),
+        (np.zeros(3), _with_entry(np.eye(3), (1, 1), np.nan), "gamma has non-finite entries"),
+        (np.zeros(3), _with_entry(np.eye(3), (0, 2), np.nan), "gamma has non-finite entries"),
+        (np.zeros(3), _with_entry(np.eye(3), (2, 2), np.inf), "gamma has non-finite entries"),
+        (np.zeros(3), _with_entry(np.eye(3), (0, 1), np.inf), "gamma has non-finite entries"),
+        (
+            np.zeros(3),
+            _with_entry(_with_entry(np.eye(3), (0, 1), np.inf), (1, 0), np.inf),
+            "gamma has non-finite entries",
+        ),
+        (np.zeros(3), _with_entry(np.eye(3), (1, 2), 1j * np.inf), "gamma has non-finite entries"),
+    ],
+)
+def test_params_validation_rejects_non_finite_and_non_vector(theta, gamma, message):
+    # before the check, nan assembled into a nan system and inf only warned
+    params = GkslParams(theta=theta, gamma=gamma)
+    with pytest.raises(ValueError, match=message):
+        params.validate()
+    if params.theta.ndim == 1:
+        basis = build_basis(1)
+        with pytest.raises(ValueError, match=message):
+            assemble_system(basis, structure_constants(basis), params)
+
+
+def test_params_validation_huge_non_hermitian_gamma_is_not_called_non_finite():
+    # finite entries whose residual overflows are a Hermiticity failure
+    gamma = np.zeros((3, 3))
+    gamma[0, 1], gamma[1, 0] = 1e308, -1e308
+    with pytest.raises(ValueError, match="gamma not Hermitian"):
+        GkslParams(theta=np.zeros(3), gamma=gamma).validate()

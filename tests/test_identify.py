@@ -1,4 +1,4 @@
-"""Rank tests, sampling policy, persistency, and the combined report.
+"""Rank tests, sampling policy, pulse families, and the combined report.
 
 The word-span checker is cross-validated against a brute-force
 enumerator written here: it applies every operator word up to the depth
@@ -18,16 +18,13 @@ from hypothesis import strategies as st
 
 from oqsident import (
     GkslParams,
-    accessible_set,
     assemble_system,
     bilinear_span_test,
     build_basis,
     golden_schedule,
-    hankel_matrix,
     identifiability_report,
     linear_rank_test,
     make_pulse_family,
-    persistency_check,
     pulse_family_check,
     rho_to_coherence,
     sampling_policy_check,
@@ -352,85 +349,6 @@ def test_sampling_policy_undeclared_irrational_passes():
     assert rep.ok
     assert not rep.declared
     assert rep.pairs[0].verdict == "no small denominator found"
-
-
-def test_hankel_shape():
-    u = np.arange(12.0).reshape(6, 2)
-    H = hankel_matrix(u, 3)
-    assert H.shape == (6, 4)
-    assert np.array_equal(H[:2, 0], u[0])
-    assert np.array_equal(H[4:6, 3], u[5])
-
-
-def test_persistency_impulse_fails_shifted_passes():
-    assert persistency_check(np.array([1.0, 0.0, 0.0, 0.0]), L=2) is False
-    assert persistency_check(np.array([0.0, 1.0, 0.0, 0.0]), L=2) is True
-
-
-def test_persistency_random_input():
-    rng = np.random.default_rng(109)
-    u = rng.normal(size=9)
-    assert persistency_check(u, L=3) is True
-    with pytest.raises(ValueError):
-        persistency_check(u, L=6)  # 9 - 6 + 1 < 6
-    with pytest.raises(ValueError):
-        persistency_check(u)  # L required
-
-
-def test_persistency_states():
-    rng = np.random.default_rng(113)
-    X = rng.normal(size=(3, 5))
-    assert persistency_check(X, kind="state") is True
-    # the first n snapshots are dependent, all of them still span
-    X[:, 2] = X[:, 0] - X[:, 1]
-    assert persistency_check(X, kind="state") is True
-    X[2] = X[0] + X[1]
-    assert persistency_check(X, kind="state") is False
-    with pytest.raises(ValueError):
-        persistency_check(X, kind="spectral")
-
-
-def test_accessible_set_single_axis():
-    tensors = structure_constants(build_basis(1))
-    acc = accessible_set(tensors, measured={2}, delta={0})
-    assert tuple(acc.indices) == (1, 2)
-    assert acc.iterations == 1
-    S = acc.selector_matrix()
-    assert S.shape == (2, 3)
-    assert np.array_equal(S, np.array([[0, 1, 0], [0, 0, 1]], dtype=float))
-
-
-def test_accessible_set_two_axes_close_everything():
-    tensors = structure_constants(build_basis(1))
-    acc = accessible_set(tensors, measured={2}, delta={0, 1})
-    assert tuple(acc.indices) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        accessible_set(tensors, measured={7}, delta={0})
-
-
-def test_accessible_set_matches_brute_force_two_qubits():
-    tensors = structure_constants(build_basis(2))
-    f = f_dense(tensors)
-    n = tensors.n
-    rng = np.random.default_rng(217)
-    cases = [({2}, {0}), ({0}, {0, 4}), ({14}, set(range(n)))]
-    cases += [
-        (set(rng.choice(n, size=2, replace=False)), set(rng.choice(n, size=3, replace=False)))
-        for _ in range(8)
-    ]
-    for measured, delta in cases:
-        current, iterations = set(measured), 0
-        while True:
-            additions = {
-                l for g in current for h in delta for l in range(n) if f[g, h, l] != 0
-            } - current
-            if not additions:
-                break
-            current |= additions
-            iterations += 1
-        acc = accessible_set(tensors, measured=measured, delta=delta)
-        assert acc.indices == tuple(sorted(current))
-        assert acc.iterations == iterations
 
 
 def test_pulse_family_check_clauses():

@@ -171,6 +171,50 @@ def test_system_round_trip(one_qubit, tmp_path):
     assert min(min(r[:3]) for r in doc["N_list"]) == 1
 
 
+def _one_qubit_system(basis, tensors):
+    params = GkslParams(theta=np.array([0.0, 0.0, 1.0]), gamma=np.diag([0.2, 0.2, 0.1]))
+    return assemble_system(basis, tensors, params)
+
+
+@pytest.mark.parametrize("channels", [0, 1, 3])
+def test_system_round_trip_keeps_channel_count(one_qubit, channels, tmp_path):
+    # before the count was stored, every system read back with n maps
+    sys = _one_qubit_system(*one_qubit)
+    sys.N_list = sys.N_list[:channels]
+    path = tmp_path / "system.json"
+    write_system(path, sys)
+    assert json.loads(path.read_text())["channels"] == channels
+    sys2 = read_system(path)
+    assert sys2.N_list.shape == (channels, 3, 3)
+    assert np.array_equal(sys2.N_list, sys.N_list)
+
+
+def test_system_file_without_channels_holds_n_maps(one_qubit, tmp_path):
+    sys = _one_qubit_system(*one_qubit)
+    path = tmp_path / "system.json"
+    write_system(path, sys)
+    doc = json.loads(path.read_text())
+    del doc["channels"]
+    path.write_text(json.dumps(doc))
+    assert np.array_equal(read_system(path).N_list, sys.N_list)
+
+
+@pytest.mark.parametrize(
+    "record", [[2, 1, 2, 1.0], [0, 1, 2, 1.0], [1, 4, 2, 1.0], [1, 1, 0, 1.0], [-1, 1, 1, 1.0]]
+)
+def test_system_record_outside_channels_refused(one_qubit, record, tmp_path):
+    sys = _one_qubit_system(*one_qubit)
+    sys.N_list = sys.N_list[:1]
+    path = tmp_path / "system.json"
+    write_system(path, sys)
+    doc = json.loads(path.read_text())
+    doc["N_list"].append(record)
+    path.write_text(json.dumps(doc))
+    where = len(doc["N_list"])
+    with pytest.raises(ValueError, match=rf"N_list record {where} .* is outside \(1, 3, 3\)"):
+        read_system(path)
+
+
 def test_schedule_round_trip(tmp_path):
     sched = golden_schedule(T=0.7, l=2, frames=4)
     path = tmp_path / "schedule.json"
@@ -185,7 +229,7 @@ def test_schedule_round_trip(tmp_path):
 
 def test_pulses_round_trip(tmp_path):
     pulses = make_pulse_family(0.8, [0.1, 0.3], channel=2)
-    pulses.append(Pulse(tau=0.05, alpha=0.8, channel=0, total_time=1.0))
+    pulses.append(Pulse(tau=0.05, alpha=0.8, channel=0))
     path = tmp_path / "pulses.json"
     write_pulses(path, pulses)
     pulses2 = read_pulses(path)
@@ -194,9 +238,23 @@ def test_pulses_round_trip(tmp_path):
         assert p.tau == q.tau
         assert p.alpha == q.alpha
         assert p.channel == q.channel
-        assert p.total_time == q.total_time
     doc = json.loads(path.read_text())
     assert [p["channel"] for p in doc["pulses"]] == [3, 3, 1]
+    assert all("total_time" not in p for p in doc["pulses"])
+
+
+def test_pulses_with_total_time_read(tmp_path):
+    # older writers stored an optional total_time per pulse
+    path = tmp_path / "pulses.json"
+    path.write_text(json.dumps({
+        "schema": "oqsident/pulses/1",
+        "pulses": [
+            {"tau": 0.1, "alpha": 0.8, "channel": 1, "total_time": 1.0},
+            {"tau": 0.3, "alpha": 0.8, "channel": 2, "total_time": None},
+        ],
+    }))
+    pulses = read_pulses(path)
+    assert [(p.tau, p.alpha, p.channel) for p in pulses] == [(0.1, 0.8, 0), (0.3, 0.8, 1)]
 
 
 def _demo_record(noise=0.0):
@@ -257,12 +315,57 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(model2.G, model.G)
     for Gi, Gj in zip(model2.G_offsets, model.G_offsets):
         assert np.array_equal(Gi, Gj)
-    assert np.array_equal(model2.Gamma, model.Gamma)
+    assert np.array_equal(model2.C, model.C)
     for Fi, Fj in zip(model2.F, model.F):
         assert np.array_equal(Fi, Fj)
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "oqsident/model/2"
+    assert "Gamma" not in doc
+    again = tmp_path / "again.json"
+    write_model(again, model2)
+    assert again.read_bytes() == path.read_bytes()
     model.F = None
     write_model(path, model)
     assert read_model(path).F is None
+
+
+def model_v1_doc(model):
+    """A model file as the model/1 writer laid it out, with the stacked
+    readout block Gamma = [C; C G_1; ...; C G_l]."""
+    l = len(model.times) - 2
+    return {
+        "schema": "oqsident/model/1",
+        "order": int(model.order),
+        "T": float(model.T),
+        "times": model.times.tolist(),
+        "G": model.G.tolist(),
+        "G_offsets": [Gi.tolist() for Gi in model.G_offsets],
+        "Gamma": np.vstack([model.C @ model.G_offsets[i] for i in range(l + 1)]).tolist(),
+        "C": model.C.tolist(),
+        "F": None if model.F is None else [Fi.tolist() for Fi in model.F],
+    }
+
+
+def test_model_v1_with_gamma_reads(tmp_path):
+    rng = np.random.default_rng(409)
+    A = rng.normal(size=(3, 3)) - 2.0 * np.eye(3)
+    sched = golden_schedule(T=0.5, l=2)
+    model = exact_multirate_model(A, rng.normal(size=(3, 1)), np.eye(3)[:2], sched)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_v1_doc(model)))
+    model2 = read_model(path)
+    assert model2.order == model.order
+    assert model2.T == model.T
+    assert np.array_equal(model2.times, model.times)
+    assert np.array_equal(model2.G, model.G)
+    assert all(np.array_equal(a, b) for a, b in zip(model2.G_offsets, model.G_offsets))
+    assert np.array_equal(model2.C, model.C)
+    assert all(np.array_equal(a, b) for a, b in zip(model2.F, model.F))
+    # rewritten, it is a model/2 file without Gamma
+    write_model(path, model2)
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == "oqsident/model/2"
+    assert "Gamma" not in doc
 
 
 def test_contsys_round_trip(tmp_path):

@@ -76,8 +76,6 @@ def test_exact_model_structure():
     assert np.allclose(model.G, expm(A * 0.9), atol=1e-12)
     for t, Gi in zip(sched.times, model.G_offsets):
         assert np.allclose(Gi, expm(A * t), atol=1e-12)
-    assert model.Gamma.shape == (2 * 3, 3)
-    assert np.allclose(model.Gamma[:2], C, atol=1e-14)
     assert len(model.F) == sched.l + 1
 
 
@@ -248,7 +246,6 @@ def inconsistent_family():
         order=2,
         taus=taus,
         G_taus=[expm(A1 * taus[0]), expm(A2 * taus[1])],
-        C=np.eye(2),
     )
 
 
@@ -348,7 +345,6 @@ def test_defective_transition_raises():
         order=2,
         taus=np.array([0.5, 0.5 * (1 + np.sqrt(5)) / 2]),
         G_taus=[np.array([[0.5, 1.0], [0.0, 0.5]])] * 2,
-        C=np.eye(2),
     )
     with pytest.raises(ValueError, match="not reliably diagonalizable"):
         reconstruct_continuous(family)
@@ -359,7 +355,6 @@ def test_singular_transition_raises():
         order=2,
         taus=np.array([0.5, 0.8]),
         G_taus=[np.diag([1.0, 0.0]), np.diag([1.0, 0.0])],
-        C=np.eye(2),
     )
     with pytest.raises(ValueError, match="singular"):
         reconstruct_continuous(family)
@@ -410,6 +405,23 @@ def test_fit_multirate_guards():
     rec0 = simulate(sys_full, sched, x0=np.zeros(3), record_states=True)
     with pytest.raises(ValueError, match="rank-deficient regression"):
         fit_multirate(rec0, sched, order=3)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fit_multirate_output_matrix_columns_must_match_order(order):
+    # 1 qubit with full readout C = I3: an order of 2 or 4 does not match
+    # C's three columns, with or without state snapshots
+    basis = build_basis(1)
+    params = GkslParams(theta=np.array([0.0, 0.0, 1.0]), gamma=np.diag([0.2, 0.2, 0.1]))
+    sys = assemble_system(basis, structure_constants(basis), params)
+    sched = golden_schedule(T=0.5, l=1, frames=6)
+    rec = simulate(sys, sched, x0=np.array([0.3, -0.4, 0.5]), record_states=True)
+    message = rf"output matrix C has shape \(3, 3\); order {order} needs \(p, {order}\)"
+    with pytest.raises(ValueError, match=message):
+        fit_multirate(rec, sched, order=order, C=sys.C)
+    rec.x = None
+    with pytest.raises(ValueError, match=message):
+        fit_multirate(rec, sched, order=order, C=sys.C)
 
 
 def test_fit_multirate_missing_stamp():

@@ -91,8 +91,6 @@ def test_schedule_validation():
 def test_pulse_validation():
     with pytest.raises(ValueError):
         Pulse(tau=-0.1, alpha=1.0, channel=0)
-    with pytest.raises(ValueError):
-        Pulse(tau=0.5, alpha=1.0, channel=0, total_time=0.2)
     fam = make_pulse_family(0.7, [0.3, 0.1, 0.3])
     assert [p.tau for p in fam] == [0.1, 0.3]
     with pytest.warns(UserWarning):
