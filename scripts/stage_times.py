@@ -1,10 +1,14 @@
-"""Per-call wall time of every pipeline stage at 1-4 qubits.
+"""Per-call wall time and traced peak memory of every pipeline stage at
+1-4 qubits.
 
     PYTHONPATH=src python3 scripts/stage_times.py [--qubits 1 2 3 4] [--repeat 30]
 
-BLAS is pinned to one thread before numpy loads.  Each cell is the best of
+BLAS is pinned to one thread before numpy loads.  Each time is the best of
 --repeat timings of a loop long enough to take about 10 ms (at least one
-call); many short loops find the quiet moments of a shared host.
+call); many short loops find the quiet moments of a shared host.  The peak
+is the tracemalloc peak of one separate, untimed call, so tracing slows no
+timed call; it counts what the call allocates through Python's and numpy's
+allocators, not the resident size of the process.
 build_basis and structure_constants are timed with pauli_transform(q)
 already cached, read_basis on the normalized basis file that write_basis
 writes to a temporary directory.  assemble_system and reconstruct_general
@@ -32,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import tempfile  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -114,6 +119,16 @@ def stage_calls(q, rng, tmp):
     return calls
 
 
+def traced_peak(call):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--qubits", type=int, nargs="+", default=[1, 2, 3, 4])
@@ -126,7 +141,8 @@ def main():
                 timer = timeit.Timer(call)
                 number = max(1, int(0.01 / timer.timeit(1)))
                 best = min(timer.repeat(args.repeat, number)) / number
-                print(f"{q} qubits  {name:40s} {best * 1e3:9.3f} ms")
+                peak = traced_peak(call)
+                print(f"{q} qubits  {name:40s} {best * 1e3:9.3f} ms {peak / 1e6:9.3f} MB")
 
 
 if __name__ == "__main__":

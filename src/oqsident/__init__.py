@@ -12,6 +12,7 @@ from .gksl import (
     GkslParams,
     assemble_system,
     coherence_to_rho,
+    control_maps,
     embed_standard_form,
     rho_to_coherence,
 )

@@ -18,8 +18,8 @@ with
     (A_d)_jk = Tr(F_j D(F_k)),  D the dissipative part of L.
 
 `drift` is the one implementation of this forward map; `assemble_system`
-and the residual checks of `paramrec` both call it.  A_l, beta and N_c
-are scattered from the sparse structure constants.  A_d goes through the
+and the residual checks of `paramrec` both call it.  A_l and beta are
+scattered from, and the N_c kept as, the sparse f.  A_d goes through the
 process matrix (Wolf, Eisert, Cubitt & Cirac, PRL 101, 150402, 2008) and
 the Walsh-Hadamard tables of `liealg.pauli_transform`: the jumps
 sum_jk gamma_jk F_j rho F_k become the superoperator array P by one
@@ -114,14 +114,18 @@ class GkslParams:
 class CoherenceSystem:
     """Affine bilinear dynamics of the coherence vector.
 
-    dx/dt = (A_l + A_d) x + beta + sum_c u_c N_list[c] x,   y = C x.
+    dx/dt = (A_l + A_d) x + beta + sum_{c<m} u_c N_c x,   y = C x,  with
+    (N_c)_jk the sum of N_val[i] over the rows N_ind[i] = (c, j, k), which
+    may come in any order.
     """
 
     n: int
     A_l: np.ndarray
     A_d: np.ndarray
     beta: np.ndarray
-    N_list: np.ndarray  # shape (n, n, n); N_list[c] is the c-th control matrix
+    N_ind: np.ndarray  # (nnz, 3) int
+    N_val: np.ndarray  # (nnz,)
+    m: int  # number of control channels
     C: np.ndarray
     x0: np.ndarray = None
 
@@ -138,15 +142,17 @@ class CoherenceSystem:
 class EmbeddedSystem:
     """Standard-form embedding that absorbs the affine offset.
 
-    The state is x_emb = [x; 1], the drift is [[A, beta], [0, 0]], each
-    control matrix is zero-padded by one row and column, and the output
-    map gains a zero column.  The last state coordinate stays exactly 1
-    along trajectories.
+    The state is x_emb = [x; 1], the drift is [[A, beta], [0, 0]], the
+    control maps are the system's sparse rows (zero-padded at dim n + 1),
+    and the output map gains a zero column.  The last state coordinate
+    stays exactly 1 along trajectories.
     """
 
     n: int  # original state dimension; the embedded state has n + 1 entries
     A_emb: np.ndarray
-    N_list_emb: np.ndarray
+    N_ind: np.ndarray
+    N_val: np.ndarray
+    m: int
     C_emb: np.ndarray
     x0_emb: np.ndarray
 
@@ -229,9 +235,6 @@ def assemble_system(basis, tensors, params, observables=None):
         raise ValueError(f"offset vector has imaginary residue {res:.3e}")
     beta = beta.real
 
-    N_list = np.zeros((n, n, n))  # N_list[c][j, k] = -f_cjk
-    N_list[tuple(f_ind.T)] = -f_val
-
     if observables is None:
         C = np.eye(n)
     else:
@@ -254,24 +257,30 @@ def assemble_system(basis, tensors, params, observables=None):
             rows.append(row.real)
         C = np.array(rows)
 
-    return CoherenceSystem(n=n, A_l=A_l, A_d=A_d, beta=beta, N_list=N_list, C=C)
+    return CoherenceSystem(n, A_l, A_d, beta, N_ind=f_ind, N_val=-f_val, m=n, C=C)
 
 
-def embed_standard_form(sys, channels=None):
-    """Embed an affine CoherenceSystem into homogeneous standard form.
+def control_maps(sys, channels):
+    """Dense (len(channels), dim, dim) control maps of the listed channels:
+    dim is n for a CoherenceSystem and n + 1, zero-padded, for its
+    EmbeddedSystem."""
+    dim = sys.n + 1 if isinstance(sys, EmbeddedSystem) else sys.n
+    out = np.zeros((len(channels), dim, dim))
+    for N_c, c in zip(out, channels):
+        rows = sys.N_ind[:, 0] == c
+        np.add.at(N_c, (sys.N_ind[rows, 1], sys.N_ind[rows, 2]), sys.N_val[rows])
+    return out
 
-    `channels`, a sequence of control indices, keeps only those control
-    maps, in that order; the default keeps all of them."""
+
+def embed_standard_form(sys):
+    """Embed an affine CoherenceSystem into homogeneous standard form."""
     n = sys.n
     A_emb = np.zeros((n + 1, n + 1))
     A_emb[:n, :n] = sys.A
     A_emb[:n, n] = sys.beta
-    N_list = sys.N_list if channels is None else sys.N_list[list(channels)]
-    N_emb = np.zeros((len(N_list), n + 1, n + 1))
-    N_emb[:, :n, :n] = N_list
     C_emb = np.hstack([sys.C, np.zeros((sys.C.shape[0], 1))])
     x0_emb = np.concatenate([sys.x0, [1.0]])
-    return EmbeddedSystem(n=n, A_emb=A_emb, N_list_emb=N_emb, C_emb=C_emb, x0_emb=x0_emb)
+    return EmbeddedSystem(n, A_emb, sys.N_ind, sys.N_val, sys.m, C_emb, x0_emb)
 
 
 def rho_to_coherence(rho, basis):

@@ -21,8 +21,8 @@ Four ingredient checks feed one report:
 The word-span computation expands only directions that are new at each
 length (a Krylov-style closure), so it is polynomial even though the
 word count it accounts for is combinatorial.  A seed block that is
-already full rank, such as B = I or C = I in the autonomous report, is
-decided from its singular values alone, without singular vectors.  Each
+already full rank (C = I in the autonomous report, whose B = I needs no
+test) is decided from its singular values alone, without vectors.  Each
 length applies every operator to the new directions in one product of
 the stacked operators, and the closure stops as soon as the span is
 full.  A hard cap on enumerated words guards pathological inputs;
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gksl import embed_standard_form
+from .gksl import control_maps, embed_standard_form
 
 _EPS = np.finfo(float).eps
 
@@ -68,7 +68,7 @@ def linear_rank_test(A, B, C):
     that is none of these raises ValueError, as `bilinear_span_test` does
     for A and C.
     """
-    A = _square(A)
+    A, C = _drift_and_output(A, C)
     n = A.shape[0]
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.ndim == 2 and B.shape[0] != n and B.shape[1] == n:
@@ -79,11 +79,17 @@ def linear_rank_test(A, B, C):
     return LinearRankResult(n=n, rank_obs=span.rank_obs, rank_ctrl=span.rank_ctrl)
 
 
-def _square(A):
+def _drift_and_output(A, C):
+    """A as a square float array and C as (p, n) rows; ValueError names the
+    shape when A is not square or C is neither (p, n) nor (n,)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    return A
+    n = A.shape[0]
+    C = np.asarray(C, dtype=float)
+    if C.ndim not in (1, 2) or C.shape[-1] != n:
+        raise ValueError(f"C must be (p, {n}) or ({n},), got shape {C.shape}")
+    return A, np.atleast_2d(C)
 
 
 def _normalize_columns(V):
@@ -193,7 +199,7 @@ def bilinear_span_test(A, N_list, b, C, word_cap=None):
     the expected and actual shapes, when A is not square or a control
     matrix, b or C does not match A.
     """
-    A = _square(A)
+    A, C = _drift_and_output(A, C)
     dim = A.shape[0]
     if word_cap is None:
         word_cap = 10 * dim * dim
@@ -204,10 +210,6 @@ def bilinear_span_test(A, N_list, b, C, word_cap=None):
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != dim:
         raise ValueError(f"b must be ({dim},) or ({dim}, m), got shape {b.shape}")
-    C = np.asarray(C, dtype=float)
-    if C.ndim not in (1, 2) or C.shape[-1] != dim:
-        raise ValueError(f"C must be (p, {dim}) or ({dim},), got shape {C.shape}")
-    C = np.atleast_2d(C)
     rank_c, st_c, w_c = _word_span(ops, b.reshape(dim, -1), dim, word_cap)
     rank_o, st_o, w_o = _word_span([op.T for op in ops], C.T, dim, word_cap)
     return BilinearSpanResult(
@@ -340,9 +342,9 @@ def identifiability_report(
 ):
     """Combined identifiability verdict for a coherence-vector system.
 
-    mode='autonomous': Kalman ranks of (A, I, C) plus the sampling-ratio
-    scan of the schedule.  Taking B = I encodes a freely preparable
-    initial state, which is the regime where the linear test applies.
+    mode='autonomous': observability of (A, C) plus the sampling-ratio scan
+    of the schedule; B = I, a freely preparable initial state (the regime
+    where the linear test applies), is controllable by construction.
 
     mode='controlled': pulse family check plus the bilinear word-span
     ranks of A and the control maps of the channels the pulses drive,
@@ -358,13 +360,13 @@ def identifiability_report(
     if mode == "autonomous":
         if schedule is None:
             raise ValueError("autonomous mode requires a schedule")
-        lr = linear_rank_test(system.A, np.eye(system.n), system.C)
+        A, C = _drift_and_output(system.A, system.C)
+        n = A.shape[0]
+        rank_obs, _, _ = _word_span([A.T], C.T, n, 10 * n * n)
         samp = sampling_policy_check(schedule)
         clauses = []
-        if not lr.observable:
-            clauses.append(f"observability rank deficient ({lr.rank_obs}/{lr.n})")
-        if not lr.controllable:
-            clauses.append(f"controllability rank deficient ({lr.rank_ctrl}/{lr.n})")
+        if rank_obs < n:
+            clauses.append(f"observability rank deficient ({rank_obs}/{n})")
         if not samp.ok:
             bad = [(p.i, p.j) for p in samp.pairs if p.verdict == "rational"]
             clauses.append(f"sampling ratios rational (increment pairs {bad})")
@@ -372,9 +374,9 @@ def identifiability_report(
             mode=mode,
             verdict=not clauses,
             inconclusive=False,
-            required_rank=lr.n,
-            rank_obs=lr.rank_obs,
-            rank_ctrl=lr.rank_ctrl,
+            required_rank=n,
+            rank_obs=rank_obs,
+            rank_ctrl=n,
             sampling=samp,
             clauses=clauses,
         )
@@ -384,21 +386,21 @@ def identifiability_report(
             raise ValueError("controlled mode requires a pulse family")
         pulses = list(pulses)
         channels = tuple(sorted({int(p.channel) for p in pulses}))
-        bad = [c for c in channels if not 0 <= c < len(system.N_list)]
+        bad = [c for c in channels if not 0 <= c < system.m]
         if bad:
             raise ValueError(
-                f"pulse channels {bad} out of range for {len(system.N_list)} control maps"
+                f"pulse channels {bad} out of range for {system.m} control maps"
             )
         pulses_ok, clauses = pulse_family_check(pulses)
         if np.linalg.norm(system.beta) > 1e-12:
-            emb = embed_standard_form(system, channels)
-            A, N_list, C = emb.A_emb, emb.N_list_emb, emb.C_emb
+            emb = embed_standard_form(system)
+            A, N_list, C = emb.A_emb, control_maps(emb, channels), emb.C_emb
             if b is None:
                 seed = emb.x0_emb
             else:
                 seed = _affine_seed(np.asarray(b, dtype=float), system.n)
         else:
-            A, N_list, C = system.A, system.N_list[list(channels)], system.C
+            A, N_list, C = system.A, control_maps(system, channels), system.C
             seed = system.x0 if b is None else np.asarray(b, dtype=float)
         if np.linalg.norm(seed) == 0:
             clauses.append("seed state is zero")

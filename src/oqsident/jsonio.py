@@ -4,11 +4,11 @@ Every file carries a "schema" field like "oqsident/params/1"; readers
 refuse files with a missing or unexpected schema (`read_model` also
 accepts the older "oqsident/model/1").  Floats go through
 Python's repr (shortest round-trip form), so write/read cycles are
-bit-exact.  Complex matrices are stored as flat row-major lists of
-[re, im] pairs; real matrices as nested row-major lists; structure
-tensors and control matrices as sparse (indices..., value) records with
-1-based indices.  The Python API stays 0-based throughout; only this
-layer shifts indices.
+bit-exact; writers refuse NaN and infinities, which JSON cannot hold.
+Complex matrices are stored as flat row-major lists of [re, im] pairs;
+real matrices as nested row-major lists; structure tensors and control
+matrices as sparse (indices..., value) records with 1-based indices.
+The Python API stays 0-based throughout; only this layer shifts indices.
 """
 
 import json
@@ -46,9 +46,12 @@ _OLD_SCHEMAS = {"model": ("oqsident/model/1",)}
 
 
 def _dump(doc, path):
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; JSON has no NaN or Infinity") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load(path, kind):
@@ -180,19 +183,14 @@ def read_params(path):
 
 
 def write_system(path, sys):
-    records = []
-    for c in range(len(sys.N_list)):
-        jj, kk = np.nonzero(sys.N_list[c])
-        for j, k in zip(jj, kk):
-            records.append([int(c) + 1, int(j) + 1, int(k) + 1, float(sys.N_list[c][j, k])])
     doc = {
         "schema": _SCHEMAS["system"],
         "n": sys.n,
         "A_l": _real(sys.A_l),
         "A_d": _real(sys.A_d),
         "beta": _real(sys.beta),
-        "channels": len(sys.N_list),
-        "N_list": records,
+        "channels": sys.m,
+        "N_list": _sparse_records(sys.N_ind, sys.N_val),
         "C": _real(sys.C),
         "x0": _real(sys.x0),
     }
@@ -201,24 +199,29 @@ def write_system(path, sys):
 
 def read_system(path):
     """CoherenceSystem of a system file.  Files without "channels" hold n
-    control maps; a control-map record indexing outside (channels, n, n)
-    raises ValueError naming the record."""
+    control maps.  A control-map record indexing outside (channels, n, n),
+    or repeating the (c, j, k) of an earlier one, raises ValueError naming
+    the record."""
     doc = _load(path, "system")
     n = doc["n"]
-    N_list = np.zeros((doc.get("channels", n), n, n))
-    for idx, (c, j, k, v) in enumerate(doc["N_list"]):
-        at = (int(c) - 1, int(j) - 1, int(k) - 1)
-        if not all(0 <= i < s for i, s in zip(at, N_list.shape)):
-            raise ValueError(
-                f"{path}: N_list record {idx + 1} {[c, j, k]} is outside {N_list.shape}"
-            )
-        N_list[at] = float(v)
+    shape = (doc.get("channels", n), n, n)
+    ind, val = _from_sparse_records(doc["N_list"], 3)
+    rows, first, inverse = np.unique(ind, axis=0, return_index=True, return_inverse=True)
+    earlier = first[inverse.reshape(-1)]  # the record that first holds each (c, j, k)
+    outside = ((ind < 0) | (ind >= shape)).any(axis=1)
+    bad = np.flatnonzero(outside | (earlier < np.arange(len(ind))))
+    if len(bad):
+        i = bad[0]
+        why = f"is outside {shape}" if outside[i] else f"repeats record {earlier[i] + 1}"
+        raise ValueError(f"{path}: N_list record {i + 1} {(ind[i] + 1).tolist()} {why}")
     return CoherenceSystem(
         n=n,
         A_l=np.array(doc["A_l"], dtype=float),
         A_d=np.array(doc["A_d"], dtype=float),
         beta=np.array(doc["beta"], dtype=float),
-        N_list=N_list,
+        N_ind=rows,
+        N_val=val[first],
+        m=shape[0],
         C=np.array(doc["C"], dtype=float),
         x0=np.array(doc["x0"], dtype=float),
     )

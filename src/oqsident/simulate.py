@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .gksl import CoherenceSystem, EmbeddedSystem
+from .gksl import CoherenceSystem, EmbeddedSystem, control_maps
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -152,15 +152,6 @@ class MeasurementRecord:
         return len(self.t)
 
 
-def _unpack_system(sys):
-    if isinstance(sys, EmbeddedSystem):
-        dim = sys.n + 1
-        return (sys.A_emb, np.zeros(dim), sys.N_list_emb, sys.C_emb, sys.x0_emb)
-    if isinstance(sys, CoherenceSystem):
-        return (sys.A, sys.beta, sys.N_list, sys.C, sys.x0)
-    raise TypeError("sys must be a CoherenceSystem or EmbeddedSystem")
-
-
 def simulate(
     sys,
     schedule,
@@ -179,7 +170,8 @@ def simulate(
     schedule : SamplingSchedule
     pulses : sequence of Pulse
         Rectangular inputs, all referenced to simulation start.  Pulses on
-        the same channel add while simultaneously active.
+        the same channel add while simultaneously active.  A channel
+        outside the system's m raises ValueError.
     x0 : ndarray, optional
         Initial state; defaults to the system's stored x0.
     noise_sigma : float
@@ -207,19 +199,25 @@ def simulate(
         )
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
-    A, beta, N_list, C, x_default = _unpack_system(sys)
+    if isinstance(sys, EmbeddedSystem):
+        A, beta, C, x_default = sys.A_emb, np.zeros(sys.n + 1), sys.C_emb, sys.x0_emb
+    elif isinstance(sys, CoherenceSystem):
+        A, beta, C, x_default = sys.A, sys.beta, sys.C, sys.x0
+    else:
+        raise TypeError("sys must be a CoherenceSystem or EmbeddedSystem")
     dim = A.shape[0]
     x = np.array(x_default if x0 is None else x0, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},)")
 
-    n_channels = len(N_list)
     zero_width = []
     for idx, p in enumerate(pulses):
-        if not 0 <= p.channel < n_channels:
-            raise ValueError(f"pulse {idx} channel {p.channel} out of range")
+        if not 0 <= p.channel < sys.m:
+            raise ValueError(f"pulse {idx} channel {p.channel} out of range for {sys.m} channels")
         if p.tau == 0:
             zero_width.append(idx)
+    channels = sorted({p.channel for p in pulses})
+    N_list = control_maps(sys, channels)
 
     T = schedule.T
     times = schedule.times
@@ -236,12 +234,12 @@ def simulate(
     events = np.unique(np.concatenate([stamp_times, np.array(edges), [0.0, t_end]]))
     starts = events[:-1]
 
-    # Inputs per segment and the pulse active at each stamp (the first one
-    # listed); a pulse is on while t < tau, so zero widths never are.
-    U = np.zeros((len(starts), n_channels))
+    # Inputs per segment and pulsed channel, and the pulse active at each
+    # stamp (the first listed); a pulse is on while t < tau, so zero widths never are.
+    U = np.zeros((len(starts), len(channels)))
     pulse_id = np.full(len(stamp_times), -1)
     for idx, p in enumerate(pulses):
-        U[starts < p.tau, p.channel] += p.alpha
+        U[starts < p.tau, channels.index(p.channel)] += p.alpha
         pulse_id[(stamp_times < p.tau) & (pulse_id < 0)] = idx
     # segments share a propagator when their width and input bytes agree
     keys = np.column_stack([np.diff(events), U])

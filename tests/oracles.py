@@ -1,6 +1,7 @@
 """Test-only reference computations shared by several test modules."""
 
 import itertools
+import json
 import math
 from functools import reduce
 
@@ -304,6 +305,48 @@ def invert_dense(G, A, beta):
     return -c[1:, 0].imag / np.sqrt(N), c[1:, 1:]
 
 
+def sparse_controls(N_list):
+    """CoherenceSystem control fields (N_ind, N_val, m) of a dense
+    (m, n, n) stack of control maps."""
+    N_list = np.asarray(N_list, dtype=float)
+    ind = np.argwhere(N_list)  # row-major, so sorted by (c, j, k)
+    return dict(N_ind=ind, N_val=N_list[tuple(ind.T)], m=len(N_list))
+
+
+def dense_controls(sys):
+    """Dense (m, n, n) stack of all control maps of a CoherenceSystem, one
+    sparse row at a time."""
+    out = np.zeros((sys.m, sys.n, sys.n))
+    for (c, j, k), v in zip(sys.N_ind, sys.N_val):
+        out[c, j, k] = v
+    return out
+
+
+def write_system_dense(path, sys, N_list):
+    """A system file as `jsonio.write_system` wrote it from the dense
+    (m, n, n) control maps N_list: channel by channel, the nonzeros of
+    each map in row-major order."""
+    records = []
+    for c in range(len(N_list)):
+        jj, kk = np.nonzero(N_list[c])
+        for j, k in zip(jj, kk):
+            records.append([int(c) + 1, int(j) + 1, int(k) + 1, float(N_list[c][j, k])])
+    doc = {
+        "schema": "oqsident/system/1",
+        "n": sys.n,
+        "A_l": np.asarray(sys.A_l, dtype=float).tolist(),
+        "A_d": np.asarray(sys.A_d, dtype=float).tolist(),
+        "beta": np.asarray(sys.beta, dtype=float).tolist(),
+        "channels": len(N_list),
+        "N_list": records,
+        "C": np.asarray(sys.C, dtype=float).tolist(),
+        "x0": np.asarray(sys.x0, dtype=float).tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def segment_drifts(A, N_list, schedule, pulses):
     """Stamp times and the (a, b, drift) segments between consecutive
     events, with the stamp arithmetic and pulse sums of `simulate`."""
@@ -325,17 +368,18 @@ def segment_drifts(A, N_list, schedule, pulses):
     return np.array(stamps), segments
 
 
-def simulate_reference(sys, schedule, pulses=(), x0=None, noise_sigma=0.0, seed=None,
+def simulate_reference(sys, N_list, schedule, pulses=(), x0=None, noise_sigma=0.0, seed=None,
                        steps_per_interval=50):
     """(y, x) at the stamps with a fresh one-step propagator and its power
     for every segment, as `simulate` computed them before it reused the
-    power of segments that repeat a width and input.  y is C x per stamp,
-    plus the noise draws in stamp order."""
+    power of segments that repeat a width and input, with the dense
+    (m, dim, dim) control maps N_list.  y is C x per stamp, plus the noise
+    draws in stamp order."""
     if isinstance(sys, EmbeddedSystem):
-        A, N_list, C, x_default = sys.A_emb, sys.N_list_emb, sys.C_emb, sys.x0_emb
+        A, C, x_default = sys.A_emb, sys.C_emb, sys.x0_emb
         beta = np.zeros(sys.n + 1)
     else:
-        A, N_list, C, x_default = sys.A, sys.N_list, sys.C, sys.x0
+        A, C, x_default = sys.A, sys.C, sys.x0
         beta = sys.beta
     dim = A.shape[0]
     x = np.array(x_default if x0 is None else x0, dtype=float)

@@ -22,6 +22,7 @@ from oqsident import (
     build_basis,
     build_reconstruction_matrices,
     coherence_to_rho,
+    control_maps,
     error_bound,
     exact_multirate_model,
     golden_schedule,
@@ -121,7 +122,8 @@ def test_criterion_03_oracle_equivalence():
             drho = master_equation_rhs(basis, theta, gamma, rho, u=u)
             dx_oracle = np.einsum("jab,ba->j", basis.generators, drho)
             assert np.max(np.abs(dx_oracle.imag)) < 1e-12
-            dx = sys.A @ x + np.einsum("c,cjk,k->j", u, sys.N_list, x) + sys.beta
+            N_list = control_maps(sys, range(n))
+            dx = sys.A @ x + np.einsum("c,cjk,k->j", u, N_list, x) + sys.beta
             err = np.max(np.abs(dx - dx_oracle.real))
             worst = max(worst, err)
             assert err <= 1e-10, f"{q} qubits: derivative mismatch {err:.3e}"
@@ -353,7 +355,8 @@ def test_criterion_10_simulator_physicality():
     from oqsident.gksl import CoherenceSystem
 
     toy = CoherenceSystem(n=2, A_l=A, A_d=np.zeros((2, 2)), beta=np.zeros(2),
-                          N_list=np.zeros((0, 2, 2)), C=np.eye(2))
+                          N_ind=np.zeros((0, 3), dtype=int), N_val=np.zeros(0), m=0,
+                          C=np.eye(2))
     sched = SamplingSchedule(T=1.0, times=[0.0, 0.5, 1.0])
     x0 = np.array([1.0, 0.0])
     exact = expm(A) @ x0

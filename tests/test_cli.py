@@ -224,13 +224,31 @@ def test_tampered_system_exits_one(workdir, tmp_path, capsys):
     assert not paths["record"].exists()
 
 
+def test_non_finite_output_exits_one(workdir, capsys):
+    # a NaN start state simulates to a NaN record, which the record writer
+    # refuses before it opens the file
+    paths, _, _ = workdir
+    main(["build", "--basis", str(paths["basis"]),
+          "--params", str(paths["params"]), "--out", str(paths["system"])])
+    capsys.readouterr()
+    assert main(["simulate", "--system", str(paths["system"]),
+                 "--schedule", str(paths["schedule"]), "--x0", "nan,0,0",
+                 "--out", str(paths["record"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths['record']}: ")
+    assert "JSON has no NaN or Infinity" in err
+    assert not paths["record"].exists()
+
+
 @pytest.mark.parametrize("field", ["theta", "gamma"])
 def test_build_non_finite_params_exits_one(workdir, tmp_path, capsys, field):
-    paths, theta, gamma = workdir
-    bad = GkslParams(theta=theta.copy(), gamma=gamma.copy())
-    getattr(bad, field)[(0,) * getattr(bad, field).ndim] = np.nan
+    # the writers refuse NaN, so the token is put into the file by hand, as
+    # a writer that allows it (Python's json by default) would write it
+    paths, _, _ = workdir
+    doc = json.loads(paths["params"].read_text())
+    doc[field][0] = float("nan") if field == "theta" else [float("nan"), 0.0]
     bad_path = tmp_path / "bad_params.json"
-    write_params(bad_path, bad)
+    bad_path.write_text(json.dumps(doc))
     assert main(["build", "--basis", str(paths["basis"]), "--params", str(bad_path),
                  "--out", str(paths["system"])]) == 1
     err = capsys.readouterr().err

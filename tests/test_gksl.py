@@ -5,6 +5,9 @@ right-hand side directly from H and the gamma matrix acting on a density
 matrix, then projects onto the basis. The coherence-vector path must agree.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,12 @@ from oqsident import (
     assemble_system,
     build_basis,
     coherence_to_rho,
+    control_maps,
     embed_standard_form,
     rho_to_coherence,
     structure_constants,
 )
+from oracles import f_dense
 
 
 def random_hermitian_gamma(rng, n, scale=0.5):
@@ -94,7 +99,8 @@ def test_control_channels_match_direct_rhs():
     rho = random_state(rng, basis.dim)
     x = rho_to_coherence(rho, basis)
     dx_expected = project_traceless(basis, gksl_rhs(basis, params, rho, u=u))
-    dx = sys.A @ x + np.einsum("c,cjk,k->j", u, sys.N_list, x) + sys.beta
+    N_list = control_maps(sys, range(n))
+    dx = sys.A @ x + np.einsum("c,cjk,k->j", u, N_list, x) + sys.beta
     assert np.allclose(dx, dx_expected, atol=1e-12)
 
 
@@ -187,8 +193,8 @@ def test_embedding_reproduces_affine_flow():
     assert np.allclose(emb.C_emb @ b, sys.C @ x, atol=1e-13)
     assert emb.x0_emb[-1] == 1.0
     u = rng.normal(size=3)
-    lifted = np.einsum("c,cjk,k->j", u, emb.N_list_emb, b)
-    plain = np.einsum("c,cjk,k->j", u, sys.N_list, x)
+    lifted = np.einsum("c,cjk,k->j", u, control_maps(emb, range(3)), b)
+    plain = np.einsum("c,cjk,k->j", u, control_maps(sys, range(3)), x)
     assert np.allclose(lifted[:3], plain, atol=1e-13)
     assert lifted[3] == 0.0
 
@@ -247,3 +253,59 @@ def test_params_validation_huge_non_hermitian_gamma_is_not_called_non_finite():
     gamma[0, 1], gamma[1, 0] = 1e308, -1e308
     with pytest.raises(ValueError, match="gamma not Hermitian"):
         GkslParams(theta=np.zeros(3), gamma=gamma).validate()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_control_maps_match_structure_constants(num_qubits):
+    # (N_c)_jk = -f_cjk for any channel list, in its order, on the system
+    # and, zero-padded by one row and column, on its embedding
+    basis = build_basis(num_qubits)
+    tensors = structure_constants(basis)
+    n = basis.n
+    rng = np.random.default_rng(61 + num_qubits)
+    params = GkslParams(theta=rng.normal(size=n), gamma=random_hermitian_gamma(rng, n))
+    sys = assemble_system(basis, tensors, params)
+    emb = embed_standard_form(sys)
+    assert sys.m == emb.m == n
+    dense = -f_dense(tensors)
+    for channels in ([0], [n - 1], list(range(n)), list(rng.permutation(n)[: n // 2 + 1]), []):
+        expected = dense[channels]
+        assert np.array_equal(control_maps(sys, channels), expected)
+        lifted = control_maps(emb, channels)
+        assert lifted.shape == (len(channels), n + 1, n + 1)
+        assert np.array_equal(lifted[:, :n, :n], expected)
+        assert not lifted[:, n].any() and not lifted[:, :, n].any()
+
+
+def test_control_maps_take_rows_in_any_order():
+    # a system built by hand need not sort its rows; a row given twice adds
+    basis = build_basis(2)
+    rng = np.random.default_rng(71)
+    params = GkslParams(theta=rng.normal(size=15), gamma=random_hermitian_gamma(rng, 15))
+    sys = assemble_system(basis, structure_constants(basis), params)
+    order = rng.permutation(len(sys.N_ind))
+    ind = np.vstack([sys.N_ind[order], sys.N_ind[:1]])
+    val = np.append(sys.N_val[order], sys.N_val[0])
+    val[np.flatnonzero(order == 0)[0]] = 0.0  # the first row, split in two
+    channels = [3, 0, 14]
+    for system in (sys, embed_standard_form(sys)):
+        shuffled = replace(system, N_ind=ind, N_val=val)
+        assert np.array_equal(control_maps(shuffled, channels), control_maps(system, channels))
+
+
+def test_assemble_system_four_qubit_memory():
+    # the control maps stay sparse: a dense (255, 255, 255) stack alone
+    # would be 133 MB
+    basis = build_basis(4)
+    tensors = structure_constants(basis)
+    rng = np.random.default_rng(67)
+    params = GkslParams(theta=rng.normal(size=basis.n), gamma=random_hermitian_gamma(rng, basis.n))
+    assemble_system(basis, tensors, params)  # builds the cached word tables
+    tracemalloc.start()
+    try:
+        sys = assemble_system(basis, tensors, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"assemble_system peak {peak / 1e6:.1f} MB at 4 qubits"
+    assert sys.N_ind.shape == (len(tensors.f_val), 3)

@@ -9,6 +9,7 @@ closure kept in `oracles.word_span_reference`.
 """
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from oqsident import (
     sampling_policy_check,
     structure_constants,
 )
-from oqsident.gksl import embed_standard_form
+from oqsident.gksl import control_maps, embed_standard_form
 from oqsident.simulate import Pulse, SamplingSchedule
 from oracles import f_dense, word_span_reference
 
@@ -224,9 +225,9 @@ def test_embedded_gksl_spans_match_reference_closure(seed, num_qubits, hermitian
         sys.x0 = np.eye(n)[rng.integers(n)]
     if np.linalg.norm(sys.beta) > 1e-12:
         emb = embed_standard_form(sys)
-        A, N_list, b, C = emb.A_emb, emb.N_list_emb, emb.x0_emb, emb.C_emb
+        A, N_list, b, C = emb.A_emb, control_maps(emb, range(n)), emb.x0_emb, emb.C_emb
     else:  # a zero seed here spans nothing: rank 0, closed
-        A, N_list, b, C = sys.A, sys.N_list, sys.x0, sys.C
+        A, N_list, b, C = sys.A, control_maps(sys, range(n)), sys.x0, sys.C
     res = bilinear_span_test(A, N_list, b, C)
     assert span_triples(res) == reference_spans(A, N_list, b, C)
 
@@ -431,7 +432,7 @@ def test_report_controlled_affine_seed_shapes(b, seed):
     fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
     rep = identifiability_report(sys, mode="controlled", pulses=fam, b=b)
     emb = embed_standard_form(sys)
-    span = bilinear_span_test(emb.A_emb, emb.N_list_emb, np.array(seed), emb.C_emb)
+    span = bilinear_span_test(emb.A_emb, control_maps(emb, [0]), np.array(seed), emb.C_emb)
     assert (rep.rank_ctrl, rep.rank_obs) == (span.rank_ctrl, span.rank_obs)
     assert rep.required_rank == 4
 
@@ -481,6 +482,22 @@ def test_report_controlled_multi_qubit_full(num_qubits):
     assert rep.clauses == []
 
 
+def test_report_controlled_four_qubit_chain_memory():
+    # assembly and the report on channel 0 form one dense (256, 256)
+    # control map, never the (255, 255, 255) stack of all of them (133 MB)
+    _random_hermitian_system(4, seed=44)  # builds the cached word tables
+    fam = make_pulse_family(0.8, [0.1, 0.25, 0.4], channel=0)
+    tracemalloc.start()
+    try:
+        sys = _random_hermitian_system(4, seed=44)
+        rep = identifiability_report(sys, mode="controlled", pulses=fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is True and rep.channels == (0,)
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_controlled_two_qubit_first_qubit_span_closes():
     # drift and controls act on the first qubit only (words xI, yI, zI):
     # the coherence vector splits into the affine block {xI, yI, zI, 1}
@@ -499,7 +516,7 @@ def test_controlled_two_qubit_first_qubit_span_closes():
     sys = assemble_system(basis, structure_constants(basis), GkslParams(theta=theta, gamma=gamma))
     sys.x0 = 0.1 * rng.normal(size=n)
     emb = embed_standard_form(sys)
-    N_list = emb.N_list_emb[first]
+    N_list = control_maps(emb, first)
     res = bilinear_span_test(emb.A_emb, N_list, emb.x0_emb, emb.C_emb)
     assert span_triples(res) == reference_spans(emb.A_emb, N_list, emb.x0_emb, emb.C_emb)
     assert (res.rank_ctrl, res.status_ctrl) == (13, "closed")
@@ -565,6 +582,16 @@ def test_report_autonomous_three_qubit_random_passes():
     )
     assert rep.verdict is True
     assert rep.rank_obs == n and rep.rank_ctrl == n
+
+
+@pytest.mark.parametrize("C", [np.eye(3, 4), np.eye(3, 2), np.zeros((2, 2, 3))])
+def test_report_autonomous_rejects_wrong_output_shape(C):
+    # np.eye(3, 4) has rank 3: ranked as it stands it would read observable
+    sys = _one_qubit_system(np.diag([0.5, 0.3, 0.2]))
+    sys.C = C
+    message = re.escape(f"C must be (p, 3) or (3,), got shape {C.shape}")
+    with pytest.raises(ValueError, match=message):
+        identifiability_report(sys, mode="autonomous", schedule=golden_schedule(T=0.5, l=2))
 
 
 def test_report_autonomous_uniform_fails_with_clause():

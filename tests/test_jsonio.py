@@ -6,6 +6,7 @@ and all indices stored on disk are 1-based while the API stays 0-based.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from oqsident import (
 )
 from oqsident.paramrec import build_reconstruction_matrices
 from oqsident.simulate import Pulse, SamplingSchedule
+from oracles import f_dense, write_system_dense
 
 
 @pytest.fixture
@@ -164,7 +166,9 @@ def test_system_round_trip(one_qubit, tmp_path):
     assert np.array_equal(sys2.A_l, sys.A_l)
     assert np.array_equal(sys2.A_d, sys.A_d)
     assert np.array_equal(sys2.beta, sys.beta)
-    assert np.array_equal(sys2.N_list, sys.N_list)
+    assert np.array_equal(sys2.N_ind, sys.N_ind)
+    assert np.array_equal(sys2.N_val, sys.N_val)
+    assert sys2.m == sys.m
     assert np.array_equal(sys2.C, sys.C)
     assert np.array_equal(sys2.x0, sys.x0)
     doc = json.loads(path.read_text())
@@ -176,17 +180,24 @@ def _one_qubit_system(basis, tensors):
     return assemble_system(basis, tensors, params)
 
 
+def _keep_channels(sys, m):
+    """sys with only its first m control maps."""
+    keep = sys.N_ind[:, 0] < m
+    sys.N_ind, sys.N_val, sys.m = sys.N_ind[keep], sys.N_val[keep], m
+
+
 @pytest.mark.parametrize("channels", [0, 1, 3])
 def test_system_round_trip_keeps_channel_count(one_qubit, channels, tmp_path):
     # before the count was stored, every system read back with n maps
     sys = _one_qubit_system(*one_qubit)
-    sys.N_list = sys.N_list[:channels]
+    _keep_channels(sys, channels)
     path = tmp_path / "system.json"
     write_system(path, sys)
     assert json.loads(path.read_text())["channels"] == channels
     sys2 = read_system(path)
-    assert sys2.N_list.shape == (channels, 3, 3)
-    assert np.array_equal(sys2.N_list, sys.N_list)
+    assert sys2.m == channels
+    assert np.array_equal(sys2.N_ind, sys.N_ind)
+    assert np.array_equal(sys2.N_val, sys.N_val)
 
 
 def test_system_file_without_channels_holds_n_maps(one_qubit, tmp_path):
@@ -196,7 +207,10 @@ def test_system_file_without_channels_holds_n_maps(one_qubit, tmp_path):
     doc = json.loads(path.read_text())
     del doc["channels"]
     path.write_text(json.dumps(doc))
-    assert np.array_equal(read_system(path).N_list, sys.N_list)
+    sys2 = read_system(path)
+    assert sys2.m == 3
+    assert np.array_equal(sys2.N_ind, sys.N_ind)
+    assert np.array_equal(sys2.N_val, sys.N_val)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +218,7 @@ def test_system_file_without_channels_holds_n_maps(one_qubit, tmp_path):
 )
 def test_system_record_outside_channels_refused(one_qubit, record, tmp_path):
     sys = _one_qubit_system(*one_qubit)
-    sys.N_list = sys.N_list[:1]
+    _keep_channels(sys, 1)
     path = tmp_path / "system.json"
     write_system(path, sys)
     doc = json.loads(path.read_text())
@@ -213,6 +227,65 @@ def test_system_record_outside_channels_refused(one_qubit, record, tmp_path):
     where = len(doc["N_list"])
     with pytest.raises(ValueError, match=rf"N_list record {where} .* is outside \(1, 3, 3\)"):
         read_system(path)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_system_file_matches_dense_writer(num_qubits, tmp_path):
+    # the records come straight from the sparse rows, byte for byte as the
+    # writer that scanned the dense control maps wrote them
+    basis = build_basis(num_qubits)
+    tensors = structure_constants(basis)
+    n = basis.n
+    rng = np.random.default_rng(409 + num_qubits)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    sys = assemble_system(
+        basis, tensors, GkslParams(theta=rng.normal(size=n), gamma=m @ m.conj().T / n)
+    )
+    sys.x0 = rng.normal(size=n)
+    path, ref = tmp_path / "system.json", tmp_path / "dense.json"
+    write_system(path, sys)
+    write_system_dense(ref, sys, -f_dense(tensors))
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_system_records_read_in_any_order(one_qubit, tmp_path):
+    sys = _one_qubit_system(*one_qubit)
+    path = tmp_path / "system.json"
+    write_system(path, sys)
+    doc = json.loads(path.read_text())
+    doc["N_list"].reverse()
+    path.write_text(json.dumps(doc))
+    sys2 = read_system(path)
+    assert np.array_equal(sys2.N_ind, sys.N_ind)
+    assert np.array_equal(sys2.N_val, sys.N_val)
+
+
+@pytest.mark.parametrize("value", [1.0, -0.25])
+def test_system_repeated_record_refused(one_qubit, value, tmp_path):
+    # the last of two records for one entry used to win silently
+    sys = _one_qubit_system(*one_qubit)
+    path = tmp_path / "system.json"
+    write_system(path, sys)
+    doc = json.loads(path.read_text())
+    c, j, k, _ = doc["N_list"][1]
+    doc["N_list"].append([c, j, k, value])
+    path.write_text(json.dumps(doc))
+    where = len(doc["N_list"])
+    with pytest.raises(
+        ValueError, match=rf"N_list record {where} \[{c}, {j}, {k}\] repeats record 2"
+    ):
+        read_system(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_write_refused(bad, tmp_path):
+    # JSON has no NaN or Infinity token; the writer refuses before it
+    # opens the file, so none is left behind
+    theta = np.array([0.1, bad, 0.3])
+    path = tmp_path / "params.json"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*JSON has no NaN or Infinity"):
+        write_params(path, GkslParams(theta=theta, gamma=np.eye(3)))
+    assert not path.exists()
 
 
 def test_schedule_round_trip(tmp_path):

@@ -49,7 +49,9 @@ def linear_system(A, C=None):
         A_l=A,
         A_d=np.zeros((n, n)),
         beta=np.zeros(n),
-        N_list=np.zeros((0, n, n)),
+        N_ind=np.zeros((0, 3), dtype=int),
+        N_val=np.zeros(0),
+        m=0,
         C=np.eye(n) if C is None else C,
     )
 

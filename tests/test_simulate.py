@@ -33,7 +33,7 @@ from oqsident import (
     structure_constants,
 )
 from oqsident.gksl import CoherenceSystem
-from oracles import segment_drifts, simulate_reference
+from oracles import dense_controls, f_dense, segment_drifts, simulate_reference, sparse_controls
 
 # the package exports the function `simulate` under the module's name
 simulate_module = importlib.import_module("oqsident.simulate")
@@ -47,7 +47,7 @@ def toy_system(A, beta=None, N_list=None, C=None, x0=None):
         A_l=A,
         A_d=np.zeros((n, n)),
         beta=np.zeros(n) if beta is None else beta,
-        N_list=np.zeros((n, n, n)) if N_list is None else N_list,
+        **sparse_controls(np.zeros((n, n, n)) if N_list is None else N_list),
         C=np.eye(n) if C is None else C,
         x0=x0,
     )
@@ -265,7 +265,7 @@ def test_invalid_resolution_or_noise_rejected(name, value):
 
 def rk4_reference(sys, schedule, pulses, x0, steps_per_interval):
     """States at the stamps from the stepwise classical RK4 loop."""
-    stamps, segments = segment_drifts(sys.A, sys.N_list, schedule, pulses)
+    stamps, segments = segment_drifts(sys.A, dense_controls(sys), schedule, pulses)
     h_max = schedule.taus.min() / steps_per_interval
     beta = sys.beta
     x = np.array(x0, dtype=float)
@@ -285,7 +285,7 @@ def rk4_reference(sys, schedule, pulses, x0, steps_per_interval):
 
 def exact_states(sys, schedule, pulses, x0):
     """States at the stamps from the piecewise exact affine flow."""
-    stamps, segments = segment_drifts(sys.A, sys.N_list, schedule, pulses)
+    stamps, segments = segment_drifts(sys.A, dense_controls(sys), schedule, pulses)
     x = np.array(x0, dtype=float)
     states = {0.0: x}
     for a, b, Mseg in segments:
@@ -445,11 +445,39 @@ def test_reused_segment_powers_are_bit_identical(case, T, l, frames, steps_per_i
     start = np.append(x0, 1.0) if embedded else x0
     kwargs = dict(pulses=pulses, x0=start, noise_sigma=noise_sigma, seed=seed,
                   steps_per_interval=steps_per_interval)
-    y_ref, x_ref = simulate_reference(target, sched, **kwargs)
+    # the dense maps as the structure constants give them, (N_c)_jk = -f_cjk
+    N_list = np.zeros((3, len(start), len(start)))
+    N_list[:, :3, :3] = -f_dense(_TENSORS_1Q)
+    y_ref, x_ref = simulate_reference(target, N_list, sched, **kwargs)
     rec = simulate(target, sched, record_states=True, **kwargs)
     assert np.array_equal(rec.y, y_ref)
     assert np.array_equal(rec.x, x_ref)
     assert np.array_equal(simulate(target, sched, **kwargs).y, y_ref)
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_pulsed_records_match_dense_reference(num_qubits, embedded):
+    # simulate forms dense maps only for the pulsed channels; its records
+    # are bit for bit those of the reference fed every map densely
+    basis, n = _BASES[num_qubits], _BASES[num_qubits].n
+    rng = np.random.default_rng(71 + num_qubits)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    params = GkslParams(theta=rng.normal(size=n), gamma=0.5 * m @ m.conj().T / n)
+    sys = assemble_system(basis, _TENSORS[num_qubits], params)
+    target = embed_standard_form(sys) if embedded else sys
+    x0 = 0.1 * rng.normal(size=n)
+    start = np.append(x0, 1.0) if embedded else x0
+    N_list = np.zeros((n, len(start), len(start)))
+    N_list[:, :n, :n] = -f_dense(_TENSORS[num_qubits])
+    pulses = [Pulse(tau=0.37, alpha=1.3, channel=n - 1), Pulse(tau=0.6, alpha=-0.9, channel=0),
+              Pulse(tau=0.81, alpha=0.5, channel=n - 1)]
+    sched = golden_schedule(T=0.5, l=2, frames=3)
+    kwargs = dict(pulses=pulses, x0=start, steps_per_interval=5)
+    y_ref, x_ref = simulate_reference(target, N_list, sched, **kwargs)
+    rec = simulate(target, sched, record_states=True, **kwargs)
+    assert np.array_equal(rec.y, y_ref)
+    assert np.array_equal(rec.x, x_ref)
 
 
 def test_one_power_per_distinct_segment(monkeypatch):
@@ -462,7 +490,7 @@ def test_one_power_per_distinct_segment(monkeypatch):
     pulses = [Pulse(tau=0.8, alpha=1.1, channel=0)]
     simulate(_SYS_1Q, sched, pulses=pulses, x0=np.array([0.3, -0.2, 0.4]),
              steps_per_interval=50)
-    _, segments = segment_drifts(_SYS_1Q.A, _SYS_1Q.N_list, sched, pulses)
+    _, segments = segment_drifts(_SYS_1Q.A, dense_controls(_SYS_1Q), sched, pulses)
     distinct = {(b - a, a < 0.8) for a, b, _ in segments}
     assert len(powers) == len(distinct) < len(segments) // 4
 
@@ -479,7 +507,7 @@ def test_one_expm_per_distinct_segment(monkeypatch):
     sched = golden_schedule(T=0.5, l=2, frames=17)
     pulses = [Pulse(tau=0.8, alpha=1.1, channel=0), Pulse(tau=1.3, alpha=-0.4, channel=2)]
     simulate(_SYS_1Q, sched, pulses=pulses, x0=np.array([0.3, -0.2, 0.4]))
-    _, segments = segment_drifts(_SYS_1Q.A, _SYS_1Q.N_list, sched, pulses)
+    _, segments = segment_drifts(_SYS_1Q.A, dense_controls(_SYS_1Q), sched, pulses)
     distinct = {(b - a, a < 0.8, a < 1.3) for a, b, _ in segments}
     assert exponentiated == [len(distinct)]
     assert len(distinct) < len(segments) // 3
