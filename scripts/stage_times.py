@@ -10,10 +10,13 @@ is the tracemalloc peak of one separate, untimed call, so tracing slows no
 timed call; it counts what the call allocates through Python's and numpy's
 allocators, not the resident size of the process.
 build_basis and structure_constants are timed with pauli_transform(q)
-already cached, read_basis on the normalized basis file that write_basis
-writes to a temporary directory.  assemble_system and reconstruct_general
-run on a random Hermitian PSD gamma, reconstruct_symmetric on a random real
-PSD gamma, theta normal, as in the ROADMAP baseline table.  The record
+already cached.  build_basis forms no dense stack; "dense stack, first
+use" times build_basis(q).generators, the scatter of the word codes that
+the first read of the stack pays.  read_basis runs on the normalized
+basis file that write_basis writes to a temporary directory.
+assemble_system and reconstruct_general run on a random Hermitian PSD
+gamma, reconstruct_symmetric on a random real PSD gamma, theta normal, as
+in the ROADMAP baseline table.  The record
 stages follow the records-2q benchmark workload on the real-gamma system:
 simulate from one random mixed state on golden_schedule(T=0.5, l=2,
 frames=n+2) (20 frames at 4 qubits), with the default exact propagators
@@ -82,6 +85,7 @@ def stage_calls(q, rng, tmp):
     sys_s = assemble_system(basis, tensors, sym)
     calls = {
         "build_basis": lambda: build_basis(q),
+        "dense stack, first use": lambda: build_basis(q).generators,
         "structure_constants": lambda: structure_constants(basis),
         "read_basis": lambda: read_basis(path),
         "assemble_system": lambda: assemble_system(basis, tensors, herm),

@@ -40,6 +40,8 @@ import numpy as np
 
 from .liealg import pauli_transform
 
+_SYMMETRY_TOL = 1e-12  # rounding allowed in gamma's Hermiticity and realness
+
 
 @dataclass
 class GkslParams:
@@ -69,7 +71,7 @@ class GkslParams:
     def n(self):
         return self.theta.shape[0]
 
-    def validate(self, tol=1e-12, physical=False):
+    def validate(self, physical=False):
         """Check shape, finiteness and symmetry contracts.
 
         Raises ValueError, naming theta or gamma, for a theta that is not
@@ -91,11 +93,11 @@ class GkslParams:
             herm = np.max(np.abs(self.gamma - self.gamma.conj().T))
         if not np.isfinite(herm) and not np.isfinite(self.gamma).all():
             raise ValueError("gamma has non-finite entries")
-        if herm > tol:
+        if herm > _SYMMETRY_TOL:
             raise ValueError(f"gamma not Hermitian (residual {herm:.3e})")
         if self.symmetric:
             asym = np.max(np.abs(self.gamma.imag))
-            if asym > tol:
+            if asym > _SYMMETRY_TOL:
                 raise ValueError(
                     f"symmetric flag set but gamma has imaginary part {asym:.3e}"
                 )
@@ -220,8 +222,7 @@ def assemble_system(basis, tensors, params, observables=None):
     if tensors.n != n:
         raise ValueError("structure tensors do not match basis dimension")
 
-    N = basis.dim
-    F, f_ind, f_val = basis.generators, tensors.f_ind, tensors.f_val
+    N, f_ind, f_val = basis.dim, tensors.f_ind, tensors.f_val
     A_l, A_d, beta = drift(
         pauli_transform(basis.num_qubits), f_ind, f_val, params.theta, params.gamma
     )
@@ -251,7 +252,7 @@ def assemble_system(basis, tensors, params, observables=None):
                     "does not enter y = C x",
                     stacklevel=2,
                 )
-            row = np.einsum("kab,ba->k", F, O)
+            row = np.einsum("kab,ba->k", basis.generators, O)
             if np.max(np.abs(row.imag)) >= 1e-10:
                 raise ValueError(f"observable {idx} produced complex output row")
             rows.append(row.real)

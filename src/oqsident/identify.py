@@ -40,6 +40,8 @@ import numpy as np
 from .gksl import control_maps, embed_standard_form
 
 _EPS = np.finfo(float).eps
+_MAX_DENOMINATOR = 10**6  # the rationality scan of sampling_policy_check
+_RATIONAL_TOL = 1e-13
 
 
 @dataclass
@@ -242,13 +244,13 @@ class SamplingPolicyReport:
     declared: bool
 
 
-def sampling_policy_check(schedule, max_denominator=10**6, rel_tol=1e-13):
+def sampling_policy_check(schedule):
     """Scan increment ratios of a schedule for small-denominator rationals.
 
     A declared-irrational schedule skips the scan.  Otherwise each ratio
     tau_i / tau_j is fit by the best rational with denominator up to
-    `max_denominator`; a relative fit error below `rel_tol` is classified
-    as rational and fails.  Anything else gets the warning-grade verdict
+    10**6; a relative fit error below 1e-13 is classified as rational and
+    fails.  Anything else gets the warning-grade verdict
     'no small denominator found': floats cannot certify irrationality.
 
     The tolerance is deliberately tighter than the best q <= 1e6
@@ -268,9 +270,9 @@ def sampling_policy_check(schedule, max_denominator=10**6, rel_tol=1e-13):
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
             r = taus[i] / taus[j]
-            frac = Fraction(r).limit_denominator(max_denominator)
+            frac = Fraction(r).limit_denominator(_MAX_DENOMINATOR)
             err = abs(r - float(frac))
-            if err <= rel_tol * abs(r):
+            if err <= _RATIONAL_TOL * abs(r):
                 pairs.append(
                     PairVerdict(
                         i=i,

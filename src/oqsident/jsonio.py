@@ -111,39 +111,43 @@ def write_basis(path, basis, tensors):
     _dump(doc, path)
 
 
-def read_basis(path):
-    """(LieBasis, StructureTensors) of a basis file.  The basis must pass
-    `LieBasis.validate`, and f and g must have the indices of
-    `structure_constants(basis)` and values within 1e-12 (older files hold
-    projection-rounded values); otherwise ValueError names the field."""
-    doc = _load(path, "basis")
-    N = doc["dim"]
-    gens = np.stack([_from_cpairs(p, (N, N)) for p in doc["generators"]])
-    basis = LieBasis(
-        num_qubits=doc["num_qubits"],
-        dim=N,
-        n=doc["n"],
-        words=list(doc["words"]),
-        generators=gens,
-        identity=_from_cpairs(doc["identity"], (N, N)),
-        normalized=doc["normalized"],
-    )
-    f_ind, f_val = _from_sparse_records(doc["f"], 3)
-    g_ind, g_val = _from_sparse_records(doc["g"], 3)
-    tensors = StructureTensors(
-        n=doc["n"], f_ind=f_ind, f_val=f_val, g_ind=g_ind, g_val=g_val
-    )
+def _near(got, want):
+    """Whether a file field holds the numbers of the array want, in its
+    row-major order and within 1e-12, complex entries as [re, im] pairs."""
+    if np.iscomplexobj(want):
+        want = np.stack([want.real, want.imag], axis=-1)
     try:
-        want = structure_constants(basis)
+        got = np.asarray(got, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        return False
+    return got.size == want.size and np.allclose(got.ravel(), want.ravel(), rtol=0, atol=1e-12)
+
+
+def read_basis(path):
+    """(LieBasis, StructureTensors) of a basis file.  Every field must be
+    that of the basis of its num_qubits (1 to 4) and normalized flag, the
+    numbers within 1e-12 (older files hold rounded stacks and projected f
+    and g); otherwise ValueError names the field."""
+    doc = _load(path, "basis")
+    try:
+        basis = LieBasis(doc["num_qubits"], doc["normalized"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for name, ind, val, want_ind, want_val in (
-        ("f", f_ind, f_val, want.f_ind, want.f_val),
-        ("g", g_ind, g_val, want.g_ind, want.g_val),
+    t = structure_constants(basis)
+    for name, ok in (
+        ("dim", doc["dim"] == basis.dim),
+        ("n", doc["n"] == basis.n),
+        ("words", doc["words"] == basis.words),
+        ("identity", _near(doc["identity"], basis.identity)),
+        ("generators", _near(doc["generators"], basis.generators)),
+        ("f", _near(doc["f"], np.column_stack([t.f_ind + 1, t.f_val]))),
+        ("g", _near(doc["g"], np.column_stack([t.g_ind + 1, t.g_val]))),
     ):
-        if not (np.array_equal(ind, want_ind) and np.allclose(val, want_val, rtol=0, atol=1e-12)):
-            raise ValueError(f"{path}: {name}: not the structure constants of its basis")
-    return basis, tensors
+        if not ok:
+            raise ValueError(f"{path}: {name}: not that of the {basis.num_qubits}-qubit basis")
+    # the indices are those of t, the values the file's (within 1e-12 of t's)
+    f_val, g_val = (np.asarray(doc[x], dtype=float).reshape(-1, 4)[:, 3] for x in "fg")
+    return basis, StructureTensors(basis.n, t.f_ind, f_val, t.g_ind, g_val)
 
 
 # ---------------------------------------------------------------- params

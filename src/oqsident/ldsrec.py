@@ -34,6 +34,7 @@ import numpy as np
 from scipy.linalg import expm
 
 _TWO_PI = 2.0 * math.pi
+_COND_CAP = 1e12  # eigenvector condition above which a rate counts as defective
 
 
 @dataclass
@@ -247,7 +248,7 @@ def single_rate_models(model):
     return SingleRateFamily(order=n, taus=taus, G_taus=G_taus, F_taus=F_taus)
 
 
-def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
+def reconstruct_continuous(family, match_tol=1e-6):
     """Continuous (A, B) from single-rate transition matrices.
 
     Every G_tau_i equals exp(A tau_i), so each continuous eigenvalue must
@@ -287,7 +288,7 @@ def reconstruct_continuous(family, match_tol=1e-6, cond_cap=1e12):
     lam0, V = np.linalg.eig(G_list[0])
     if np.min(np.abs(lam0)) < 1e-300:
         raise ValueError("transition matrix is singular; no matrix logarithm")
-    if np.linalg.cond(V) > cond_cap:
+    if np.linalg.cond(V) > _COND_CAP:
         raise ValueError(
             "transition matrix is not reliably diagonalizable; defective "
             "(shared Jordan block) reconstruction is not supported"

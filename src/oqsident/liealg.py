@@ -28,8 +28,9 @@ Conventions used throughout the package:
 * Word a, the identity included, is w_a Z^z_a X^x_a: bit strings x_a, z_a
   and w_a a power of -i.  These codes from `pauli_transform` are the one
   source of the stack G_a[p, p ^ x_a] = w_a H[z_a, p] / sqrt(N) (H the
-  Walsh-Hadamard matrix), of `LieBasis.validate`, of f and g, and of the
-  O(N^5) transforms between process, superoperator and transfer matrices.
+  Walsh-Hadamard matrix), of f and g, and of the O(N^5) transforms between
+  process, superoperator and transfer matrices.  A `LieBasis` holds only
+  its qubit count and scale; `jsonio.read_basis` checks a file's stack.
 
 All indices in the Python API are 0-based.  The JSON interchange layer
 converts to 1-based records.
@@ -71,13 +72,19 @@ def _word_stack(t, normalized):
     return G / np.sqrt(N) if normalized else G
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieBasis:
-    """Ordered basis of su(2^q) as a stack of Hermitian traceless matrices.
+    """The Pauli word basis of su(2^q), held as its qubit count and scale.
+    The rest follows from the word codes, the dense stack (read-only) when
+    it is first read.
 
     Attributes
     ----------
     num_qubits : int
+        1 to 4.
+    normalized : bool
+        True for the trace-orthonormal scaling 1/sqrt(N), False for the
+        raw Pauli words (see `build_basis`).
     dim : int
         Hilbert space dimension N = 2**num_qubits.
     n : int
@@ -87,71 +94,51 @@ class LieBasis:
     generators : ndarray, shape (n, N, N)
         The matrices F_1 .. F_n (0-based as generators[0..n-1]).
     identity : ndarray, shape (N, N)
-        The separately stored identity component.  I / sqrt(N) when
-        normalized, plain I otherwise.
-    normalized : bool
-        True for the trace-orthonormal scaling 1/sqrt(N), False for the
-        raw Pauli word helper used in scale cross-checks.
+        The identity component, I / sqrt(N) when normalized, plain I
+        otherwise.
     """
 
     num_qubits: int
-    dim: int
-    n: int
-    words: list
-    generators: np.ndarray
-    identity: np.ndarray
     normalized: bool = True
 
-    def validate(self):
-        """Check that this is the q-qubit Pauli word stack at its declared
-        scale (dim, n, shapes, words, and entries within 1e-12), an O(n N^2)
-        comparison that implies Hermitian, traceless and, if normalized,
-        orthonormal.  Raises ValueError naming the first field that fails."""
-        q, N = self.num_qubits, 2**self.num_qubits
-        sizes = (self.dim, self.n, np.shape(self.identity), np.shape(self.generators))
-        if sizes != (N, N * N - 1, (N, N), (N * N - 1, N, N)):
-            raise ValueError(f"dim, n, identity, generators: sizes {sizes} are not {q}-qubit")
-        if list(self.words) != pauli_words(q):
-            raise ValueError(f"words: not the {q}-qubit Pauli words")
-        G = _word_stack(pauli_transform(q), self.normalized)
-        for name, got, want in (("identity", self.identity, G[0]),
-                                ("generators", self.generators, G[1:])):
-            err = np.abs(got - want).max()
-            if not err <= 1e-12:
-                raise ValueError(f"{name}: off the {q}-qubit Pauli word stack by {err:.3g}")
-        return True
+    def __post_init__(self):
+        q = self.num_qubits
+        if not (isinstance(q, (int, np.integer)) and 1 <= q <= 4):
+            raise ValueError(f"num_qubits: {q!r} is not an integer from 1 to 4")
+
+    @property
+    def dim(self):
+        return 2**self.num_qubits
+
+    @property
+    def n(self):
+        return 4**self.num_qubits - 1
+
+    @property
+    def words(self):
+        return pauli_words(self.num_qubits)
+
+    @functools.cached_property
+    def _stack(self):
+        G = _word_stack(pauli_transform(self.num_qubits), self.normalized)
+        G.flags.writeable = False
+        return G
+
+    @property
+    def identity(self):
+        return self._stack[0]
+
+    @property
+    def generators(self):
+        return self._stack[1:]
 
 
 def build_basis(num_qubits, normalized=True):
-    """Construct the generalized Pauli basis of su(2^q).
-
-    Parameters
-    ----------
-    num_qubits : int
-        Number of qubits, 1 <= num_qubits <= 4.
-    normalized : bool
-        If True (default) scale each word by 1/sqrt(N) so that
-        Tr(F_m F_n) = delta_mn.  If False return plain Pauli words; this
-        variant exists for scale cross-checks of the structure constants
-        (e.g. f = 2*epsilon for one qubit).
-
-    Returns
-    -------
-    LieBasis
-    """
-    if not 1 <= num_qubits <= 4:
-        raise ValueError("num_qubits must be between 1 and 4")
-    N = 2**num_qubits
-    G = _word_stack(pauli_transform(num_qubits), normalized)
-    return LieBasis(
-        num_qubits=num_qubits,
-        dim=N,
-        n=N * N - 1,
-        words=pauli_words(num_qubits),
-        generators=G[1:],
-        identity=G[0],
-        normalized=normalized,
-    )
+    """The `LieBasis` of su(2^q), q = num_qubits from 1 to 4: words scaled
+    by 1/sqrt(N), so that Tr(F_m F_n) = delta_mn, or, with normalized=False,
+    plain Pauli words for scale cross-checks of the structure constants
+    (e.g. f = 2*epsilon for one qubit)."""
+    return LieBasis(num_qubits, normalized)
 
 
 @dataclass
@@ -191,20 +178,12 @@ def structure_constants(basis):
     Parameters
     ----------
     basis : LieBasis
-        A Pauli word basis as `build_basis` or `jsonio.read_basis` returns
-        it, normalized or raw.
+        Normalized or raw.
 
     Returns
     -------
     StructureTensors
-
-    Raises
-    ------
-    ValueError
-        From `basis.validate()`, if `basis` is not the Pauli word stack at
-        its declared scale.
     """
-    basis.validate()
     t = pauli_transform(basis.num_qubits)
     scale = 1.0 / np.sqrt(t.N) if basis.normalized else 1.0
     x, z, w = t.x[1:, None], t.z[1:, None], t.w[1:, None]

@@ -72,10 +72,13 @@ def build_reconstruction_matrices(tensors, dim, general=True, symmetric=True):
     ----------
     tensors : liealg.StructureTensors
     dim : int
-        Hilbert space dimension N (sets the 1/N scale of the beta block).
+        Hilbert space dimension N (sets the 1/N scale of the beta block);
+        ValueError unless N is positive and N**2 - 1 is tensors.n.
     general, symmetric : bool
         Which reconstruction routes to prepare.
     """
+    if dim < 1 or dim * dim - 1 != tensors.n:
+        raise ValueError(f"dim {dim} does not fit tensors.n {tensors.n}: N**2 - 1 must equal it")
     transform = pauli_transform(int(dim).bit_length() - 1)
     return ReconstructionMatrices(
         tensors.n, dim, transform, tensors.f_ind, tensors.f_val, general, symmetric

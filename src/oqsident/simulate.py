@@ -168,7 +168,7 @@ def simulate(
     ----------
     sys : CoherenceSystem or EmbeddedSystem
     schedule : SamplingSchedule
-    pulses : sequence of Pulse
+    pulses : iterable of Pulse
         Rectangular inputs, all referenced to simulation start.  Pulses on
         the same channel add while simultaneously active.  A channel
         outside the system's m raises ValueError.
@@ -210,6 +210,7 @@ def simulate(
     if x.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},)")
 
+    pulses = list(pulses)  # read below more than once; a generator would be spent
     zero_width = []
     for idx, p in enumerate(pulses):
         if not 0 <= p.channel < sys.m:

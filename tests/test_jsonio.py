@@ -67,8 +67,6 @@ def test_basis_round_trip(one_qubit, tmp_path):
     assert np.array_equal(basis2.generators, basis.generators)
     assert np.array_equal(basis2.identity, basis.identity)
     assert basis2.normalized == basis.normalized
-    basis2.validate()
-    structure_constants(basis2)  # a read-back basis is a valid Pauli word stack
     assert np.array_equal(tensors2.f_ind, tensors.f_ind)
     assert np.array_equal(tensors2.f_val, tensors.f_val)
     assert np.array_equal(tensors2.g_ind, tensors.g_ind)
@@ -94,24 +92,58 @@ def test_written_basis_reads_back_equal(num_qubits, normalized, tmp_path):
         assert np.array_equal(getattr(tensors2, name), getattr(tensors, name))
 
 
-def _tamper(doc, field):
-    if field == "generators":
+def _rotated(F):
+    """U F U^dagger for a random unitary U: Hermitian, traceless and
+    trace-orthonormal, but not the Pauli word stack of the package."""
+    N = F.shape[1]
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    F = U @ F @ U.conj().T
+    assert np.max(np.abs(F - F.conj().transpose(0, 2, 1))) < 1e-12
+    assert np.max(np.abs(np.trace(F, axis1=1, axis2=2))) < 1e-12
+    assert np.max(np.abs(np.einsum("mab,nba->mn", F, F) - np.eye(len(F)))) < 1e-12
+    return F
+
+
+def _tamper(doc, case):
+    """Break a written basis file as the case says; returns the field
+    the reader must name."""
+    if case == "generators":
         doc["generators"][4][5][0] += 1e-9
-    elif field == "words":
+    elif case == "rotated":
+        F = _rotated(build_basis(2).generators)
+        doc["generators"] = [[[v.real, v.imag] for v in G.reshape(-1)] for G in F]
+        return "generators"
+    elif case == "non-hermitian":
+        doc["generators"][0][0][1] += 0.01  # an imaginary part on the diagonal
+        return "generators"
+    elif case == "words":
         doc["words"][0], doc["words"][1] = doc["words"][1], doc["words"][0]
-    elif field == "identity":
+    elif case == "identity":
         doc["identity"][0][0] *= -1
+    elif case == "normalized":  # a raw file that declares the 1/sqrt(N) scale
+        doc["normalized"] = True
+        return "identity"
+    elif case == "n":
+        doc["n"] = 14
+    elif case == "num_qubits":
+        doc["num_qubits"] = 5
     else:  # one f or g record's sign flipped
-        doc[field][3][3] *= -1
+        doc[case][3][3] *= -1
+    return case
 
 
-@pytest.mark.parametrize("field", ["generators", "words", "identity", "f", "g"])
-def test_tampered_basis_refused(field, tmp_path):
-    basis = build_basis(2)
+@pytest.mark.parametrize(
+    "case",
+    ["generators", "rotated", "non-hermitian", "words", "identity", "normalized", "n",
+     "num_qubits", "f", "g"],
+)
+def test_tampered_basis_refused(case, tmp_path):
+    basis = build_basis(2, normalized=case != "normalized")
     path = tmp_path / "basis.json"
     write_basis(path, basis, structure_constants(basis))
     doc = json.loads(path.read_text())
-    _tamper(doc, field)
+    field = _tamper(doc, case)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as exc:
         read_basis(path)

@@ -1,5 +1,8 @@
 """Basis construction and structure constant extraction."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,51 +183,22 @@ def test_word_codes_match_kronecker_oracle(num_qubits, normalized):
     assert np.array_equal(t.g_val, g_val)
 
 
-def _with(basis, **fields):
-    return LieBasis(**{**vars(basis), **fields})
-
-
-def _rotated(basis):
-    """U F U^dagger for a random unitary U: Hermitian, traceless and
-    trace-orthonormal, but not the Pauli word stack of the package."""
-    N = basis.dim
-    rng = np.random.default_rng(5)
-    U, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
-    F = U @ basis.generators @ U.conj().T
-    assert np.max(np.abs(F - F.conj().transpose(0, 2, 1))) < 1e-12
-    assert np.max(np.abs(np.trace(F, axis1=1, axis2=2))) < 1e-12
-    assert np.max(np.abs(np.einsum("mab,nba->mn", F, F) - np.eye(basis.n))) < 1e-12
-    return F
-
-
-def test_broken_basis_rejected():
-    one, two = build_basis(1), build_basis(2)
-    gens = one.generators.copy()
-    gens[0] = gens[0] + 0.01j * np.eye(2)  # not Hermitian
-    swapped = list(two.words)
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    cases = [
-        ("generators", _with(one, generators=gens)),
-        ("generators", _with(two, generators=_rotated(two))),
-        ("identity", _with(two, identity=-two.identity)),  # Tr(I I) is still 1
-        ("identity", _with(two, identity=np.eye(2))),
-        ("words", _with(two, words=swapped)),
-        ("dim, n", _with(two, n=14)),
-    ]
-    for field, broken in cases:
-        with pytest.raises(ValueError, match=field):
-            broken.validate()
-        with pytest.raises(ValueError, match=field):
-            structure_constants(broken)
-
-
-def test_validate_catches_scale_error():
-    basis = build_basis(1, normalized=False)
-    basis.normalized = True  # lie about the scaling
+def test_basis_is_its_qubit_count_and_scale():
+    # the rest is derived from the word codes, so a basis cannot disagree
+    # with them, and the 4-qubit stack (1 MB) is formed only when read
+    assert [f.name for f in dataclasses.fields(LieBasis)] == ["num_qubits", "normalized"]
+    basis = build_basis(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.normalized = False
     with pytest.raises(ValueError):
-        basis.validate()
-    with pytest.raises(ValueError):
-        structure_constants(basis)
+        basis.generators[0, 0, 0] = 1.0
+    tracemalloc.start()
+    try:
+        build_basis(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])

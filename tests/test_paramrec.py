@@ -270,6 +270,15 @@ def test_general_rejects_wrong_shapes():
         reconstruct_general(np.zeros((4, 4)), np.zeros(3), mats)
 
 
+@pytest.mark.parametrize("dim", [6, -4])
+def test_dim_must_fit_the_tensors(dim):
+    # N**2 - 1 is n for a positive N; a wrong dim would pick the wrong word
+    # tables or 1/N scale without an error
+    _, tensors, _ = setup(2)
+    with pytest.raises(ValueError, match=rf"dim {dim} .*tensors.n 15"):
+        build_reconstruction_matrices(tensors, dim)
+
+
 def test_t3_matches_symmetric_dissipator():
     basis, tensors, mats = setup(1)
     rng = np.random.default_rng(307)

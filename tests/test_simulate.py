@@ -164,6 +164,22 @@ def test_pulse_id_tags():
     assert list(rec.pulse_id) == [0, 0, -1, -1]
 
 
+def test_pulse_generator_reads_as_its_list():
+    # simulate walks the pulses more than once, which a generator allows
+    # only if it is read into a list first
+    basis = build_basis(1)
+    params = GkslParams(theta=[0.3, -0.2, 0.5], gamma=0.1 * np.eye(3), symmetric=True)
+    sys = assemble_system(basis, structure_constants(basis), params)
+    sched = golden_schedule(T=0.5, l=2, frames=3)
+    family = make_pulse_family(0.8, [0.3, 0.7], channel=1)
+    x0 = np.array([0.1, 0.2, 0.3])
+    listed = simulate(sys, sched, pulses=family, x0=x0)
+    generated = simulate(sys, sched, pulses=(p for p in family), x0=x0)
+    for name in ("t", "y", "frame", "offset_index", "pulse_id"):
+        assert np.array_equal(getattr(generated, name), getattr(listed, name))
+    assert (listed.pulse_id >= 0).any()
+
+
 def test_zero_width_pulse_is_zero_input():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     Nc = np.ones((1, 2, 2))
