@@ -40,7 +40,7 @@ import numpy as np
 
 from .liealg import pauli_transform
 
-_SYMMETRY_TOL = 1e-12  # rounding allowed in gamma's Hermiticity and realness
+_SYMMETRY_TOL = 1e-12  # Hermiticity and realness rounding, per unit of max|gamma|
 
 
 @dataclass
@@ -93,14 +93,16 @@ class GkslParams:
             herm = np.max(np.abs(self.gamma - self.gamma.conj().T))
         if not np.isfinite(herm) and not np.isfinite(self.gamma).all():
             raise ValueError("gamma has non-finite entries")
-        if herm > _SYMMETRY_TOL:
+        asym = np.max(np.abs(self.gamma.imag)) if self.symmetric else 0.0
+        # rounding in gamma is relative to its largest entry; residuals
+        # within the tolerance at scale 1 pass without forming that max
+        tol = _SYMMETRY_TOL
+        if max(herm, asym) > tol:
+            tol *= max(1.0, np.max(np.abs(self.gamma)))
+        if herm > tol:
             raise ValueError(f"gamma not Hermitian (residual {herm:.3e})")
-        if self.symmetric:
-            asym = np.max(np.abs(self.gamma.imag))
-            if asym > _SYMMETRY_TOL:
-                raise ValueError(
-                    f"symmetric flag set but gamma has imaginary part {asym:.3e}"
-                )
+        if asym > tol:
+            raise ValueError(f"symmetric flag set but gamma has imaginary part {asym:.3e}")
         if physical:
             lo = np.linalg.eigvalsh((self.gamma + self.gamma.conj().T) / 2).min()
             if lo < -1e-10:

@@ -23,13 +23,15 @@ length (a Krylov-style closure), so it is polynomial even though the
 word count it accounts for is combinatorial.  A seed block that is
 already full rank (C = I in the autonomous report, whose B = I needs no
 test) is decided from its singular values alone, without vectors.  Each
-length applies every operator to the new directions in one product of
-the stacked operators, and the closure stops as soon as the span is
-full.  A hard cap on enumerated words guards pathological inputs;
-hitting the cap yields an explicit inconclusive status, never a silent
-truncation.  The rank tests take A as (n, n), each control as (n, n),
-seeds b as (n,) or (n, m) and C as (p, n) or (n,); any other shape
-raises ValueError naming both shapes.
+operator is scaled once by its Frobenius norm.  Each length applies every
+operator to the new directions in one product of the stacked operators
+and takes one SVD of the images projected off the span so far, which
+gives both the rank increment and the new directions; the closure stops
+as soon as the span is full.  A hard cap on enumerated words guards
+pathological inputs; hitting the cap yields an explicit inconclusive
+status, never a silent truncation.  The rank tests take A as (n, n),
+each control as (n, n), seeds b as (n,) or (n, m) and C as (p, n) or
+(n,); any other shape raises ValueError naming both shapes.
 """
 
 from dataclasses import dataclass, field
@@ -64,8 +66,8 @@ def linear_rank_test(A, B, C):
 
     The ranks of [B, AB, ..., A^{n-1} B] and [C; CA; ...; C A^{n-1}],
     computed as the word spans of `bilinear_span_test` with no control
-    matrices.  The span normalizes each new direction before deciding its
-    rank, so the growth of A^k with k cannot push true directions below
+    matrices.  The span applies A to orthonormal directions at each word
+    length, so the growth of A^k with k cannot push true directions below
     the rank cutoff.  B may be given as (n, m), (m, n) or (n,); a shape
     that is none of these raises ValueError, as `bilinear_span_test` does
     for A and C.
@@ -108,11 +110,17 @@ def _word_span(ops, seeds, dim, word_cap):
     only the last is non-conclusive.  A seed block with at least dim
     columns is first ranked from its singular values alone, and returns
     at once when that rank is dim; a narrower block, or a wide one short
-    of full rank, takes one SVD with vectors for its basis.  The closure
-    stops as soon as the rank reaches dim, before orthogonalizing that
-    level's images.  Each level applies every operator in one product of
-    the (k dim, dim) operator stack, formed only once the seeds fall
-    short of full rank.
+    of full rank, takes one SVD with vectors for its basis, and a single
+    seed column is its own basis.  Each operator is scaled once by its
+    Frobenius norm, which leaves the span unchanged, so images of the
+    orthonormal frontier carry rounding of order eps whatever their size.
+    Each level applies every operator in one product of the (k dim, dim)
+    operator stack, projects the images off the basis twice (classical
+    Gram-Schmidt) and takes one SVD of what remains: its singular values
+    above max(dim, r + c) eps, the matrix_rank cutoff of the r basis and
+    c image columns side by side, count the new directions, and its
+    leading vectors, made orthogonal to the basis once more, are those
+    directions.  The closure stops as soon as the rank reaches dim.
     """
     seeds = _normalize_columns(np.atleast_2d(seeds))
     if seeds.shape[1] == 0:
@@ -121,15 +129,17 @@ def _word_span(ops, seeds, dim, word_cap):
         s = np.linalg.svd(seeds, compute_uv=False)
         if np.sum(s > max(seeds.shape) * _EPS * s[0]) == dim:
             return dim, "full-rank", 0
-    U, s, _ = np.linalg.svd(seeds, full_matrices=False)
-    r = int(np.sum(s > max(seeds.shape) * _EPS * s[0]))
-    if r == dim:
+    if seeds.shape[1] == 1:
+        basis = seeds
+    else:
+        U, s, _ = np.linalg.svd(seeds, full_matrices=False)
+        basis = U[:, : int(np.sum(s > max(seeds.shape) * _EPS * s[0]))]
+    if basis.shape[1] == dim:
         return dim, "full-rank", 0
-    basis = U[:, :r]
     frontier = basis
     words = 0
     k = len(ops)
-    stack = np.concatenate(ops)
+    stack = np.concatenate([op / max(np.linalg.norm(op), 1e-300) for op in ops])
 
     for _ in range(dim - 1):
         cost = k * frontier.shape[1]
@@ -137,27 +147,22 @@ def _word_span(ops, seeds, dim, word_cap):
             return basis.shape[1], "inconclusive-below-cap", words
         words += cost
         # operator-major columns: op_0 frontier, op_1 frontier, ...
-        images = (stack @ frontier).reshape(k, dim, -1).transpose(1, 0, 2)
-        images = _normalize_columns(images.reshape(dim, -1))
-        if images.shape[1] == 0:
+        images = (stack @ frontier).reshape(k, dim, -1).transpose(1, 0, 2).reshape(dim, -1)
+        for _ in range(2):
+            images = images - basis @ (basis.T @ images)
+        U, s, _ = np.linalg.svd(images, full_matrices=False)
+        new = int(np.sum(s > max(dim, basis.shape[1] + images.shape[1]) * _EPS))
+        if new == 0:
             return basis.shape[1], "closed", words
-        # the rank increment is decided on the stacked matrix with the
-        # standard matrix_rank cutoff; thresholding residual singular
-        # values in isolation lets rounding noise through and the basis
-        # can then outgrow the space
-        new = int(np.linalg.matrix_rank(np.hstack([basis, images]))) - basis.shape[1]
-        if new <= 0:
-            return basis.shape[1], "closed", words
-        if basis.shape[1] + new == dim:
+        if basis.shape[1] + new >= dim:
             return dim, "full-rank", words
-        resid = images - basis @ (basis.T @ images)
-        Ur, _, _ = np.linalg.svd(resid, full_matrices=False)
-        fresh = Ur[:, :new]
-        # one re-orthogonalization pass against accumulated rounding
-        fresh = fresh - basis @ (basis.T @ fresh)
-        fresh = _normalize_columns(fresh)
-        basis = np.hstack([basis, fresh])
-        frontier = fresh
+        # a direction whose singular value is near the cutoff loses
+        # orthogonality to the basis as eps / s; one pass restores it, and
+        # without it that loss passes as new directions at the next length
+        frontier = U[:, :new]
+        frontier = frontier - basis @ (basis.T @ frontier)
+        frontier /= np.linalg.norm(frontier, axis=0)
+        basis = np.hstack([basis, frontier])
 
     return basis.shape[1], "depth-exhausted", words
 

@@ -68,11 +68,15 @@ def _load(path, kind):
 def _cpairs(mat):
     """Flat row-major [re, im] pairs of a complex array."""
     flat = np.asarray(mat, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+    return np.stack([flat.real, flat.imag], axis=1).tolist()
 
 
 def _from_cpairs(pairs, shape):
-    flat = np.array([complex(re, im) for re, im in pairs])
+    """Complex array of `shape` from flat [re, im] pairs; filling the real
+    and imaginary parts apart keeps signed zeros."""
+    parts = np.array(pairs, dtype=float).reshape(len(pairs), 2)
+    flat = np.empty(len(parts), dtype=complex)
+    flat.real, flat.imag = parts.T
     return flat.reshape(shape)
 
 

@@ -15,10 +15,10 @@ are found as the intersection of the matrix-logarithm branch sets of the
 G_tau_i over all rates, which is a single point per eigenvalue exactly
 when the increment ratios avoid resonant (rational) alignment; the
 eigenvectors are taken from the first rate and sharpened by one step of
-inverse iteration on the frame map; the input matrix follows from F_tau
-by inverting the exponential integral (computed by the augmented-block
-trick: expm([[A, I], [0, 0]] tau) carries the integral in its
-upper-right block).
+inverse iteration on the frame map, and the eigenvalues corrected on it;
+the input matrix follows from F_tau by inverting the exponential
+integral (computed by the augmented-block trick: expm([[A, I], [0, 0]]
+tau) carries the integral in its upper-right block).
 
 Branch search is windowed: only candidates with |Im mu| <= pi / min(tau)
 are considered, the resolution limit of the fastest rate.  Zero
@@ -68,6 +68,9 @@ class SingleRateFamily:
 
 @dataclass
 class ContinuousModel:
+    """Continuous drift A, input matrix B, and the eigenvalues of A: the
+    matched branch of each mode, corrected on the frame map."""
+
     A: np.ndarray
     B: np.ndarray = None
     eigenvalues: np.ndarray = None
@@ -126,12 +129,13 @@ def _states_from_record(record, order, C):
         return X, np.eye(order) if C is None else C
     if C is None:
         raise ValueError("outputs-only fitting requires the output matrix C")
-    if np.linalg.matrix_rank(C) < order:
+    # lstsq's rank uses matrix_rank's cutoff, eps max(p, order) sigma_max
+    X, _, rank, _ = np.linalg.lstsq(C, record.y.T, rcond=None)
+    if rank < order:
         raise ValueError(
             "output matrix does not have full column rank; states are not "
             "recoverable sample-by-sample"
         )
-    X, *_ = np.linalg.lstsq(C, record.y.T, rcond=None)
     return X.T, C
 
 
@@ -267,6 +271,12 @@ def reconstruct_continuous(family, match_tol=1e-6):
     Starting from the first rate keeps modes apart that alias on the
     frame (equal exp(mu T)); if the shifted solve is singular or not
     finite, which only exact data produce, the first-rate basis is kept.
+    Each mu_m is then corrected on the frame map, whose whole length T
+    measures it better than the shortest rate: mu_m += log(lam_m
+    exp(-mu_m T)) / T with lam = diag(V^-1 P V), the principal log of a
+    ratio near 1.  A real mode keeps the real part of its correction, and
+    the second of a conjugate pair the conjugate of the first's, so the
+    spectrum stays closed under conjugation.
     A singular transition matrix, zero or several branch survivors for a
     mode, and an imaginary residue in A raise ValueError.
 
@@ -324,7 +334,8 @@ def reconstruct_continuous(family, match_tol=1e-6):
 
     # one inverse-iteration step per mode on the frame map P = exp(A T)
     P = reduce(np.matmul, G_list)
-    shifted = P - np.exp(mu * taus.sum())[:, None, None] * np.eye(n)
+    T = taus.sum()
+    shifted = P - np.exp(mu * T)[:, None, None] * np.eye(n)
     try:
         W = np.linalg.solve(shifted, V.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError:  # exact data: a shift hits P's spectrum
@@ -333,6 +344,16 @@ def reconstruct_continuous(family, match_tol=1e-6):
         V = W / np.linalg.norm(W, axis=0)
 
     Vinv = np.linalg.inv(V)
+    # the frame's eigenvalues exp(mu T) in the sharpened basis correct mu;
+    # real modes stay real and each conjugate pair, listed positive
+    # imaginary part first, stays conjugate
+    lam_P = np.einsum("ij,ji->i", Vinv, P @ V)
+    corr = np.log(lam_P * np.exp(-mu * T)) / T
+    real = lam0.imag == 0
+    corr[real] = corr[real].real
+    pos = np.flatnonzero(lam0.imag > 0)
+    corr[pos + 1] = corr[pos].conj()
+    mu = mu + corr
     A = V @ np.diag(mu) @ Vinv
     imag_res = np.max(np.abs(A.imag))
     if imag_res > 1e-6 * (1.0 + np.max(np.abs(A.real))):

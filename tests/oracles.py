@@ -253,6 +253,40 @@ def word_span_reference(ops, seeds, dim, word_cap):
     return basis.shape[1], status, words
 
 
+def span_rank_reference(ops, seeds, gap=1e6):
+    """Dimension of the smallest subspace that holds the seeds, (dim,) or
+    (dim, m), and is invariant under every operator in `ops`: the span of
+    all words applied to the seeds.  None when that cannot be told apart
+    from rounding.
+
+    The closure grows an orthonormal basis Q of the span from the
+    normalized seeds: each step takes the SVD of [Q, op Q for op in ops],
+    every nonzero operator scaled to unit Frobenius norm, and the closure
+    stops when the rank no longer grows.  A rank is decided only where the
+    singular values it keeps are at least `gap` times the largest it
+    drops, and those it drops are below 1e-10 of the largest."""
+    ops = [op / np.linalg.norm(op) for op in ops if np.linalg.norm(op) > 0]
+    seeds = np.asarray(seeds, dtype=float)
+    cols = _normalize_columns(seeds.reshape(len(seeds), -1))
+    if cols.shape[1] == 0:
+        return 0
+
+    def orth(M):
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
+        r = int(np.sum(s > 1e-10 * s[0]))
+        if r < len(s) and s[r - 1] < gap * s[r]:
+            return None
+        return U[:, :r]
+
+    Q = orth(cols)
+    while Q is not None:
+        grown = orth(np.hstack([Q] + [op @ Q for op in ops]))
+        if grown is not None and grown.shape[1] == Q.shape[1]:
+            return Q.shape[1]
+        Q = grown
+    return None
+
+
 def word_stack(basis):
     """The (N^2, N, N) normalized word stack G = [I/sqrt(N), F_1, ..., F_n]."""
     return np.concatenate([basis.identity[None], basis.generators])
@@ -439,7 +473,8 @@ def branch_match_reference(family, match_tol=1e-6, cond_cap=1e12):
     first rate are kept when every other rate's branch set has a point
     within match_tol, and a mode with zero or several survivors raises.
     This is how the matching was written before all modes were matched in
-    one array; the eigenvector step after it is the same."""
+    one array; the eigenvector step and the eigenvalue correction after it
+    are the same."""
     taus = np.asarray(family.taus, dtype=float)
     G_list = family.G_taus
     n = family.order
@@ -492,4 +527,12 @@ def branch_match_reference(family, match_tol=1e-6, cond_cap=1e12):
         W = V
     if np.all(np.isfinite(W)):
         V = W / np.linalg.norm(W, axis=0)
-    return mu, (V @ np.diag(mu) @ np.linalg.inv(V)).real
+    Vinv = np.linalg.inv(V)
+    T = taus.sum()
+    corr = np.log(np.einsum("ij,ji->i", Vinv, P @ V) * np.exp(-mu * T)) / T
+    real = lam0.imag == 0
+    corr[real] = corr[real].real
+    pos = np.flatnonzero(lam0.imag > 0)
+    corr[pos + 1] = corr[pos].conj()
+    mu = mu + corr
+    return mu, (V @ np.diag(mu) @ Vinv).real

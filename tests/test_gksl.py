@@ -255,6 +255,26 @@ def test_params_validation_huge_non_hermitian_gamma_is_not_called_non_finite():
         GkslParams(theta=np.zeros(3), gamma=gamma).validate()
 
 
+
+def test_params_validation_tolerance_scales_with_gamma():
+    # a 3-qubit Kossakowski matrix with rates around 1e5: BLAS rounding of
+    # m m^H leaves a Hermiticity residual above an absolute 1e-12
+    rng = np.random.default_rng(34)
+    m = rng.normal(size=(63, 63)) + 1j * rng.normal(size=(63, 63))
+    gamma = 1e5 * (m @ m.conj().T) / 63
+    assert np.max(np.abs(gamma - gamma.conj().T)) > 1e-12
+    GkslParams(theta=np.zeros(63), gamma=gamma).validate()
+    bad = gamma.copy()
+    bad[0, 1] += 1j * 1e-9 * np.max(np.abs(gamma))
+    with pytest.raises(ValueError, match="gamma not Hermitian"):
+        GkslParams(theta=np.zeros(63), gamma=bad).validate()
+    # realness under the symmetric flag is judged on the same scale
+    real = gamma.real + gamma.real.T
+    skew = np.triu(real) - np.triu(real).T  # keeps real + 1j * t * skew Hermitian
+    GkslParams(theta=np.zeros(63), gamma=real + 1e-14j * skew, symmetric=True).validate()
+    with pytest.raises(ValueError, match="symmetric flag set but gamma has imaginary part"):
+        GkslParams(theta=np.zeros(63), gamma=real + 1e-9j * skew, symmetric=True).validate()
+
 @pytest.mark.parametrize("num_qubits", [1, 2, 3])
 def test_control_maps_match_structure_constants(num_qubits):
     # (N_c)_jk = -f_cjk for any channel list, in its order, on the system

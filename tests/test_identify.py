@@ -33,7 +33,7 @@ from oqsident import (
 )
 from oqsident.gksl import control_maps, embed_standard_form
 from oqsident.simulate import Pulse, SamplingSchedule
-from oracles import f_dense, word_span_reference
+from oracles import f_dense, span_rank_reference, word_span_reference
 
 
 def brute_span_rank(ops, seeds, dim):
@@ -230,6 +230,80 @@ def test_embedded_gksl_spans_match_reference_closure(seed, num_qubits, hermitian
         A, N_list, b, C = sys.A, control_maps(sys, range(n)), sys.x0, sys.C
     res = bilinear_span_test(A, N_list, b, C)
     assert span_triples(res) == reference_spans(A, N_list, b, C)
+
+
+def random_state(rng, dim):
+    v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = v @ v.conj().T
+    return rho / np.trace(rho)
+
+
+def controlled_system(sys, channels):
+    """(A, N_list, b, C) that identifiability_report(mode="controlled")
+    spans: the standard-form embedding when beta != 0, else the bare
+    system, with the control maps of `channels`."""
+    if np.linalg.norm(sys.beta) > 1e-12:
+        emb = embed_standard_form(sys)
+        return emb.A_emb, control_maps(emb, channels), emb.x0_emb, emb.C_emb
+    return sys.A, control_maps(sys, channels), sys.x0, sys.C
+
+
+_GKSL_TENSORS = {q: (b := build_basis(q), structure_constants(b)) for q in (1, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_qubits=st.integers(1, 2),
+    gamma_kind=st.sampled_from(["hermitian", "symmetric", "diagonal"]),
+    zero_theta=st.booleans(),
+    drives=st.integers(1, 3),
+    one_body=st.booleans(),
+    mixed=st.booleans(),
+)
+def test_controlled_report_ranks_match_span_oracle(
+    seed, num_qubits, gamma_kind, zero_theta, drives, one_body, mixed
+):
+    # the report's ranks equal the exact span dimension wherever a
+    # singular-value gap of 1e6 decides it
+    basis, tensors = _GKSL_TENSORS[num_qubits]
+    n = basis.n
+    rng = np.random.default_rng(seed)
+    if gamma_kind == "diagonal":
+        gamma = np.diag(rng.exponential(size=n))
+    else:
+        m = rng.normal(size=(n, n))
+        if gamma_kind == "hermitian":
+            m = m + 1j * rng.normal(size=(n, n))
+        gamma = 0.4 * m @ m.conj().T / n
+    theta = np.zeros(n) if zero_theta else rng.normal(size=n)
+    params = GkslParams(theta=theta, gamma=gamma, symmetric=gamma_kind != "hermitian")
+    sys = assemble_system(basis, tensors, params)
+    if one_body:  # read out only the words acting on one qubit
+        sys.C = np.eye(n)[[len(w.replace("I", "")) == 1 for w in basis.words]]
+    # the maximally mixed state has coherence vector zero
+    sys.x0 = np.zeros(n) if mixed else rho_to_coherence(random_state(rng, basis.dim), basis)
+    channels = rng.choice(n, size=drives, replace=False)
+    pulses = [p for c in channels for p in make_pulse_family(0.8, [0.3, 0.7], channel=int(c))]
+    rep = identifiability_report(sys, mode="controlled", pulses=pulses)
+    A, N_list, b, C = controlled_system(sys, rep.channels)
+    ops = [A, *N_list]
+    want_ctrl = span_rank_reference(ops, b)
+    want_obs = span_rank_reference([op.T for op in ops], C.T)
+    assert want_ctrl is None or rep.rank_ctrl == want_ctrl
+    assert want_obs is None or rep.rank_obs == want_obs
+
+
+@pytest.mark.parametrize("s", [8, 9, 16])
+def test_low_rank_span_is_not_overcounted(s):
+    # rank-2 drift, rank-1 control: x, range(A) and range(N) span four
+    # dimensions, and rounding in the images must not count as a fifth
+    rng = np.random.default_rng(s)
+    A = rng.normal(size=(16, 2)) @ rng.normal(size=(2, 16))
+    N = rng.normal(size=(16, 1)) @ rng.normal(size=(1, 16))
+    x = rng.normal(size=16)
+    assert span_rank_reference([A, N], x) == 4
+    assert bilinear_span_test(A, [N], x, np.eye(16)).rank_ctrl == 4
 
 
 _SPAN_SHAPE_CASES = {
