@@ -1,17 +1,37 @@
 """Versioned JSON serialization for every artifact type.
 
-Every file carries a "schema" field like "oqsident/params/1"; readers
-refuse files with a missing or unexpected schema (`read_model` also
-accepts the older "oqsident/model/1").  Floats go through
-Python's repr (shortest round-trip form), so write/read cycles are
-bit-exact; writers refuse NaN and infinities, which JSON cannot hold.
-Complex matrices are stored as flat row-major lists of [re, im] pairs;
-real matrices as nested row-major lists; structure tensors and control
-matrices as sparse (indices..., value) records with 1-based indices.
-The Python API stays 0-based throughout; only this layer shifts indices.
+Every file carries a "schema" field like "oqsident/params/1".  `_FORMATS`
+maps each schema to its fields in file order, one row (name, kind) or
+(name, kind, shape) per field, and one writer and one reader walk it.
+Kinds: the scalars int, real, bool, text and index (stored 1-based); the
+arrays reals (nested row-major lists), cpairs (a complex array as a flat
+row-major list of [re, im] pairs) and records (sparse (indices..., value)
+records, 1-based, one index per axis of their shape); json (free-form);
+and the nested field lists of `_OBJECTS`.  A "[]" suffix makes a list, a
+"?" suffix allows null.  A shape names integer fields of the file (n,
+order, ...) or list fields (for their lengths); any other name is fixed
+by the first array that uses it, and None is free.  Fields in `_OPTIONAL`
+may be absent: writers omit them when None, readers return None.
+
+Readers refuse a document that is not an object, or whose schema is
+missing or unexpected (SchemaError), and a field that is missing,
+mistyped, misshapen or null where its row allows no null, with
+ValueError("{path}: {field}: ..."), a nested field named like
+samples[3].y; they do not judge finiteness.  Only what the table cannot
+say stays per format: `read_basis` compares the file with the basis built
+in code, `read_system` refuses control-map records outside the stored
+channels or repeating an earlier one, and `read_model` also accepts the
+older "oqsident/model/1".  The range checks of the schedule and pulses
+that `read_schedule` and `read_pulses` build name the path too.
+
+Floats go through Python's repr (shortest round-trip form), so
+write/read cycles are bit-exact; writers refuse NaN and infinities,
+which JSON cannot hold.  The Python API stays 0-based throughout; only
+this layer shifts indices.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,42 +47,91 @@ class SchemaError(ValueError):
     """Missing or unsupported schema field in a JSON artifact."""
 
 
-_SCHEMAS = {
-    "basis": "oqsident/basis/1",
-    "params": "oqsident/params/1",
-    "system": "oqsident/system/1",
-    "schedule": "oqsident/schedule/1",
-    "pulses": "oqsident/pulses/1",
-    "record": "oqsident/record/1",
-    "model": "oqsident/model/2",
-    "contsys": "oqsident/contsys/1",
-    "report": "oqsident/report/1",
-    "params_hat": "oqsident/params_hat/1",
+_OBJECTS = {
+    "pulse": (("tau", "real"), ("alpha", "real"), ("channel", "index")),
+    "sample": (
+        ("t", "real"), ("y", "reals", ("outputs",)), ("frame", "int"), ("offset", "int"),
+        ("pulse_id", "index?"),
+    ),
+    "sampling": (("ok", "bool"), ("declared", "bool"), ("pairs", "pair[]")),
+    "pair": (
+        ("i", "index"), ("j", "index"), ("ratio", "real"), ("verdict", "text"),
+        ("p", "int?"), ("q", "int?"),
+    ),
 }
 
-# older versions their readers still accept: model/1 also held the stacked
-# readout block Gamma, which no reader uses
-_OLD_SCHEMAS = {"model": ("oqsident/model/1",)}
+_FORMATS = {
+    "oqsident/basis/1": (
+        ("num_qubits", "int"), ("dim", "int"), ("n", "int"), ("normalized", "bool"),
+        ("words", "text[]"),
+        ("generators", "cpairs[]", ("dim", "dim")),
+        ("identity", "cpairs", ("dim", "dim")),
+        ("f", "records", ("n", "n", "n")),
+        ("g", "records", ("n", "n", "n")),
+    ),
+    "oqsident/params/1": (
+        ("n", "int"),
+        ("theta", "reals", ("n",)),
+        ("gamma", "cpairs", ("n", "n")),
+        ("symmetric", "bool"),
+        ("observables", "cpairs[]", ("observable_dim", "observable_dim")),
+        ("observable_dim", "int"),
+    ),
+    "oqsident/system/1": (
+        ("n", "int"),
+        ("A_l", "reals", ("n", "n")),
+        ("A_d", "reals", ("n", "n")),
+        ("beta", "reals", ("n",)),
+        ("channels", "int"),  # files without it hold n control maps
+        ("N_list", "records", ("channels", "n", "n")),
+        ("C", "reals", (None, "n")),
+        ("x0", "reals", ("n",)),
+    ),
+    "oqsident/schedule/1": (
+        ("T", "real"), ("times", "reals", (None,)), ("frames", "int"),
+        ("declared_irrational", "bool"), ("note", "text"),
+    ),
+    # a pulse's keys beyond its row, such as the total_time of older files, are ignored
+    "oqsident/pulses/1": (("pulses", "pulse[]"),),
+    "oqsident/record/1": (
+        ("samples", "sample[]"), ("meta", "json"), ("x", "reals", ("samples", None)),
+    ),
+    "oqsident/model/2": (
+        ("order", "int"), ("T", "real"),
+        ("times", "reals", ("G_offsets",)),
+        ("G", "reals", ("order", "order")),
+        ("G_offsets", "reals[]", ("order", "order")),
+        ("C", "reals", (None, "order")),
+        ("F", "reals[]?", ("order", "inputs")),
+    ),
+    "oqsident/contsys/1": (
+        ("A", "reals", ("n", "n")),
+        ("B", "reals?", ("n", None)),
+        ("eigenvalues", "cpairs?", ("n",)),
+        ("window", "real?"), ("residuals", "real[]"), ("notes", "text[]"),
+    ),
+    "oqsident/report/1": (
+        ("mode", "text"), ("verdict", "bool"), ("inconclusive", "bool"),
+        ("required_rank", "int"), ("rank_obs", "int"), ("rank_ctrl", "int"),
+        ("pulses_ok", "bool?"), ("clauses", "text[]"), ("channels", "index[]"),
+        ("sampling", "sampling"),
+    ),
+    "oqsident/params_hat/1": (
+        ("status", "text"),
+        ("theta", "reals?", ("n",)),
+        ("gamma", "cpairs?", ("n", "n")),
+        ("n", "int?"), ("residual_A", "real?"), ("residual_beta", "real?"), ("kappa", "real?"),
+        ("hermiticity_defect", "real?"), ("notes", "text[]"),
+    ),
+}
 
+# older schemas read with the rows of the one that replaced them: model/1
+# also held the stacked readout block Gamma, which no reader uses
+_OLD_SCHEMAS = {"oqsident/model/1": "oqsident/model/2"}
 
-def _dump(doc, path):
-    try:
-        text = json.dumps(doc, indent=1, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}; JSON has no NaN or Infinity") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+_OPTIONAL = {"observables", "observable_dim", "channels", "x", "sampling"}
 
-
-def _load(path, kind):
-    with open(path) as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema is None:
-        raise SchemaError(f"{path}: missing schema field")
-    if schema != _SCHEMAS[kind] and schema not in _OLD_SCHEMAS.get(kind, ()):
-        raise SchemaError(f"{path}: schema {schema!r}, expected {_SCHEMAS[kind]!r}")
-    return doc
+# ---------------------------------------------------------------- writing
 
 
 def _cpairs(mat):
@@ -71,60 +140,205 @@ def _cpairs(mat):
     return np.stack([flat.real, flat.imag], axis=1).tolist()
 
 
-def _from_cpairs(pairs, shape):
-    """Complex array of `shape` from flat [re, im] pairs; filling the real
-    and imaginary parts apart keeps signed zeros."""
-    parts = np.array(pairs, dtype=float).reshape(len(pairs), 2)
-    flat = np.empty(len(parts), dtype=complex)
-    flat.real, flat.imag = parts.T
-    return flat.reshape(shape)
+_ENCODE = {
+    "int": int,
+    "real": float,
+    "bool": bool,
+    "text": lambda s: s,
+    "index": lambda i: int(i) + 1,
+    "reals": lambda a: np.asarray(a, dtype=float).tolist(),
+    "cpairs": _cpairs,
+    "records": lambda r: [[*(int(i) + 1 for i in row), float(v)] for row, v in zip(*r)],
+    "json": lambda v: v,
+}
 
 
-def _real(mat):
-    return np.asarray(mat, dtype=float).tolist()
+def _encode(value, kind):
+    if value is None and kind.endswith("?"):
+        return None
+    kind = kind.rstrip("?")
+    if kind.endswith("[]"):
+        return [_encode(v, kind[:-2]) for v in value]
+    if kind in _OBJECTS:
+        return _encode_fields(value, _OBJECTS[kind], {})
+    return _ENCODE[kind](value)
 
 
-def _sparse_records(ind, val):
-    return [[*(int(i) + 1 for i in row), float(v)] for row, v in zip(ind, val)]
+def _encode_fields(source, rows, given):
+    """JSON object of the fields in rows, each taken from `given` or else
+    from the attribute of its name in source."""
+    doc = {}
+    for name, kind, *_ in rows:
+        value = given[name] if name in given else getattr(source, name)
+        if value is not None or name not in _OPTIONAL:
+            doc[name] = _encode(value, kind)
+    return doc
 
 
-def _from_sparse_records(records, width):
-    if not records:
-        return np.zeros((0, width), dtype=int), np.zeros(0)
-    ind = np.array([[int(r[c]) - 1 for c in range(width)] for r in records], dtype=int)
-    val = np.array([float(r[width]) for r in records])
-    return ind, val
+def _write(path, schema, source, **given):
+    doc = {"schema": schema, **_encode_fields(source, _FORMATS[schema], given)}
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; JSON has no NaN or Infinity") from None
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
-# ---------------------------------------------------------------- basis
+# ---------------------------------------------------------------- reading
+
+
+def _show(value):
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _named(shape, dims):
+    return str(tuple(dims.get(d, d) if d else "*" for d in shape)).replace("'", "")
+
+
+def _fit(got, shape, label, dims):
+    """Check an array's shape against its row; a name not yet fixed takes
+    the size it first meets."""
+    if len(got) != len(shape) or any(dims.get(d, g) != g for d, g in zip(shape, got) if d):
+        raise ValueError(f"{label}: shape {got}, expected {_named(shape, dims)}")
+    for d, g in zip(shape, got):
+        if d:
+            dims.setdefault(d, g)
+
+
+def _array(value, label):
+    try:
+        a = np.array(value)
+    except ValueError:
+        raise ValueError(f"{label}: rows of unequal length") from None
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{label}: {_show(value)} is not an array of numbers")
+    return a.astype(float, copy=False)
+
+
+def _reals(value, shape, label, dims):
+    a = _array(value, label)
+    _fit(a.shape, shape, label, dims)
+    return a
+
+
+def _from_cpairs(value, shape, label, dims):
+    a = _array(value, label)
+    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
+        raise ValueError(f"{label}: shape {a.shape}, expected a list of [re, im] pairs")
+    a = a.reshape(-1, 2)
+    z = np.empty(len(a), dtype=complex)
+    z.real, z.imag = a.T  # filled apart, which keeps signed zeros
+    try:
+        z = z.reshape([dims.get(d, -1) for d in shape])
+    except ValueError:
+        raise ValueError(f"{label}: {len(z)} pairs do not fill {_named(shape, dims)}") from None
+    _fit(z.shape, shape, label, dims)
+    return z
+
+
+def _from_records(value, shape, label, dims):
+    """(indices, values) of sparse records, the indices 0-based; whether
+    they fall inside the shape is left to the format."""
+    a = _array(value, label)
+    k = len(shape)
+    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != k + 1):
+        raise ValueError(f"{label}: shape {a.shape}, expected records of {k} indices and a value")
+    a = a.reshape(-1, k + 1)
+    ind = a[:, :k]
+    if not np.all((np.abs(ind) < 2**31) & (ind == np.round(ind))):
+        raise ValueError(f"{label}: a record index is not an integer")
+    return ind.astype(int) - 1, a[:, k].copy()
+
+
+_ARRAYS = {"reals": _reals, "cpairs": _from_cpairs, "records": _from_records}
+
+
+def _decode(value, kind, shape, label, dims):
+    if value is None and kind.endswith("?"):
+        return None
+    kind = kind.rstrip("?")
+    if kind.endswith("[]"):
+        if type(value) is not list:
+            raise ValueError(f"{label}: {_show(value)} is not a list")
+        _fit((len(value),), (label,), label, dims)
+        return [_decode(v, kind[:-2], shape, f"{label}[{i}]", dims) for i, v in enumerate(value)]
+    if kind in _OBJECTS:
+        return _decode_fields(value, _OBJECTS[kind], label, dims)
+    if kind in _ARRAYS:
+        return _ARRAYS[kind](value, shape, label, dims)
+    if kind == "json":
+        return value
+    ok, what = {
+        "int": (type(value) is int, "an integer"),
+        "real": (type(value) in (int, float), "a number"),
+        "bool": (type(value) is bool, "true or false"),
+        "text": (type(value) is str, "a string"),
+        "index": (type(value) is int and value >= 1, "an index from 1"),
+    }[kind]
+    if not ok:
+        raise ValueError(f"{label}: {_show(value)} is not {what}")
+    if kind == "real":
+        return float(value)
+    return value - 1 if kind == "index" else value
+
+
+def _decode_fields(doc, rows, label, dims):
+    """Field dict of the JSON object doc, each field checked against its
+    row.  Integer fields come first: at the top level they fix the shape
+    names they share."""
+    if type(doc) is not dict:
+        raise ValueError(f"{label}: {_show(doc)} is not an object")
+    fields = {}
+    for name, kind, *shape in sorted(rows, key=lambda row: row[1].rstrip("?") != "int"):
+        where = f"{label}.{name}" if label else name
+        if name in doc:
+            value = _decode(doc[name], kind, shape[0] if shape else (), where, dims)
+        elif name in _OPTIONAL:
+            value = None
+        else:
+            raise ValueError(f"{where}: missing")
+        if not label and type(value) is int:
+            dims[name] = value
+        fields[name] = value
+    return fields
+
+
+def _read(path, schema):
+    """Field dict of a file of `schema`, or of an older schema it replaced."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise SchemaError(f"{path}: the top level is not a JSON object")
+    found = doc.get("schema")
+    if found is None:
+        raise SchemaError(f"{path}: missing schema field")
+    if found != schema and _OLD_SCHEMAS.get(found) != schema:
+        raise SchemaError(f"{path}: schema {found!r}, expected {schema!r}")
+    try:
+        return _decode_fields(doc, _FORMATS[schema], "", {})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _build(where, make, fields):
+    """make(**fields), a ValueError of its range checks prefixed with where."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+# ---------------------------------------------------------------- formats
 
 
 def write_basis(path, basis, tensors):
-    doc = {
-        "schema": _SCHEMAS["basis"],
-        "num_qubits": basis.num_qubits,
-        "dim": basis.dim,
-        "n": basis.n,
-        "normalized": basis.normalized,
-        "words": list(basis.words),
-        "generators": [_cpairs(F) for F in basis.generators],
-        "identity": _cpairs(basis.identity),
-        "f": _sparse_records(tensors.f_ind, tensors.f_val),
-        "g": _sparse_records(tensors.g_ind, tensors.g_val),
-    }
-    _dump(doc, path)
-
-
-def _near(got, want):
-    """Whether a file field holds the numbers of the array want, in its
-    row-major order and within 1e-12, complex entries as [re, im] pairs."""
-    if np.iscomplexobj(want):
-        want = np.stack([want.real, want.imag], axis=-1)
-    try:
-        got = np.asarray(got, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        return False
-    return got.size == want.size and np.allclose(got.ravel(), want.ravel(), rtol=0, atol=1e-12)
+    f, g = (tensors.f_ind, tensors.f_val), (tensors.g_ind, tensors.g_val)
+    _write(path, "oqsident/basis/1", basis, f=f, g=g)
 
 
 def read_basis(path):
@@ -132,77 +346,45 @@ def read_basis(path):
     that of the basis of its num_qubits (1 to 4) and normalized flag, the
     numbers within 1e-12 (older files hold rounded stacks and projected f
     and g); otherwise ValueError names the field."""
-    doc = _load(path, "basis")
+    doc = _read(path, "oqsident/basis/1")
     try:
         basis = LieBasis(doc["num_qubits"], doc["normalized"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     t = structure_constants(basis)
+
+    def near(got, want):
+        return got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-12)
+
     for name, ok in (
         ("dim", doc["dim"] == basis.dim),
         ("n", doc["n"] == basis.n),
         ("words", doc["words"] == basis.words),
-        ("identity", _near(doc["identity"], basis.identity)),
-        ("generators", _near(doc["generators"], basis.generators)),
-        ("f", _near(doc["f"], np.column_stack([t.f_ind + 1, t.f_val]))),
-        ("g", _near(doc["g"], np.column_stack([t.g_ind + 1, t.g_val]))),
+        ("identity", near(doc["identity"], basis.identity)),
+        ("generators", near(np.array(doc["generators"]), basis.generators)),
+        ("f", np.array_equal(doc["f"][0], t.f_ind) and near(doc["f"][1], t.f_val)),
+        ("g", np.array_equal(doc["g"][0], t.g_ind) and near(doc["g"][1], t.g_val)),
     ):
         if not ok:
             raise ValueError(f"{path}: {name}: not that of the {basis.num_qubits}-qubit basis")
     # the indices are those of t, the values the file's (within 1e-12 of t's)
-    f_val, g_val = (np.asarray(doc[x], dtype=float).reshape(-1, 4)[:, 3] for x in "fg")
-    return basis, StructureTensors(basis.n, t.f_ind, f_val, t.g_ind, g_val)
-
-
-# ---------------------------------------------------------------- params
+    return basis, StructureTensors(basis.n, t.f_ind, doc["f"][1], t.g_ind, doc["g"][1])
 
 
 def write_params(path, params, observables=None):
-    doc = {
-        "schema": _SCHEMAS["params"],
-        "n": params.n,
-        "theta": [float(t) for t in params.theta],
-        "gamma": _cpairs(params.gamma),
-        "symmetric": bool(params.symmetric),
-    }
-    if observables is not None:
-        dim = int(round(np.sqrt(params.n + 1)))
-        doc["observables"] = [_cpairs(np.asarray(O, dtype=complex)) for O in observables]
-        doc["observable_dim"] = dim
-    _dump(doc, path)
+    dim = None if observables is None else int(round(np.sqrt(params.n + 1)))
+    _write(path, "oqsident/params/1", params, observables=observables, observable_dim=dim)
 
 
 def read_params(path):
-    doc = _load(path, "params")
-    n = doc["n"]
-    params = GkslParams(
-        theta=np.array(doc["theta"], dtype=float),
-        gamma=_from_cpairs(doc["gamma"], (n, n)),
-        symmetric=doc["symmetric"],
-    )
-    observables = None
-    if "observables" in doc:
-        dim = doc["observable_dim"]
-        observables = [_from_cpairs(p, (dim, dim)) for p in doc["observables"]]
-    return params, observables
-
-
-# ---------------------------------------------------------------- system
+    """(GkslParams, observables or None) of a params file."""
+    doc = _read(path, "oqsident/params/1")
+    params = GkslParams(theta=doc["theta"], gamma=doc["gamma"], symmetric=doc["symmetric"])
+    return params, doc["observables"]
 
 
 def write_system(path, sys):
-    doc = {
-        "schema": _SCHEMAS["system"],
-        "n": sys.n,
-        "A_l": _real(sys.A_l),
-        "A_d": _real(sys.A_d),
-        "beta": _real(sys.beta),
-        "channels": sys.m,
-        "N_list": _sparse_records(sys.N_ind, sys.N_val),
-        "C": _real(sys.C),
-        "x0": _real(sys.x0),
-    }
-    _dump(doc, path)
+    _write(path, "oqsident/system/1", sys, channels=sys.m, N_list=(sys.N_ind, sys.N_val))
 
 
 def read_system(path):
@@ -210,10 +392,10 @@ def read_system(path):
     control maps.  A control-map record indexing outside (channels, n, n),
     or repeating the (c, j, k) of an earlier one, raises ValueError naming
     the record."""
-    doc = _load(path, "system")
+    doc = _read(path, "oqsident/system/1")
     n = doc["n"]
-    shape = (doc.get("channels", n), n, n)
-    ind, val = _from_sparse_records(doc["N_list"], 3)
+    shape = (n if doc["channels"] is None else doc["channels"], n, n)
+    ind, val = doc["N_list"]
     rows, first, inverse = np.unique(ind, axis=0, return_index=True, return_inverse=True)
     earlier = first[inverse.reshape(-1)]  # the record that first holds each (c, j, k)
     outside = ((ind < 0) | (ind >= shape)).any(axis=1)
@@ -222,282 +404,87 @@ def read_system(path):
         i = bad[0]
         why = f"is outside {shape}" if outside[i] else f"repeats record {earlier[i] + 1}"
         raise ValueError(f"{path}: N_list record {i + 1} {(ind[i] + 1).tolist()} {why}")
-    return CoherenceSystem(
-        n=n,
-        A_l=np.array(doc["A_l"], dtype=float),
-        A_d=np.array(doc["A_d"], dtype=float),
-        beta=np.array(doc["beta"], dtype=float),
-        N_ind=rows,
-        N_val=val[first],
-        m=shape[0],
-        C=np.array(doc["C"], dtype=float),
-        x0=np.array(doc["x0"], dtype=float),
-    )
-
-
-# ---------------------------------------------------------------- schedule
+    del doc["channels"], doc["N_list"]
+    return CoherenceSystem(**doc, N_ind=rows, N_val=val[first], m=shape[0])
 
 
 def write_schedule(path, schedule):
-    doc = {
-        "schema": _SCHEMAS["schedule"],
-        "T": float(schedule.T),
-        "times": _real(schedule.times),
-        "frames": int(schedule.frames),
-        "declared_irrational": bool(schedule.declared_irrational),
-        "note": schedule.note,
-    }
-    _dump(doc, path)
+    _write(path, "oqsident/schedule/1", schedule)
 
 
 def read_schedule(path):
-    doc = _load(path, "schedule")
-    return SamplingSchedule(
-        T=doc["T"],
-        times=np.array(doc["times"], dtype=float),
-        frames=doc["frames"],
-        declared_irrational=doc["declared_irrational"],
-        note=doc.get("note", ""),
-    )
-
-
-# ---------------------------------------------------------------- pulses
+    return _build(path, SamplingSchedule, _read(path, "oqsident/schedule/1"))
 
 
 def write_pulses(path, pulses):
-    doc = {
-        "schema": _SCHEMAS["pulses"],
-        "pulses": [
-            {
-                "tau": float(p.tau),
-                "alpha": float(p.alpha),
-                "channel": int(p.channel) + 1,
-            }
-            for p in pulses
-        ],
-    }
-    _dump(doc, path)
+    _write(path, "oqsident/pulses/1", None, pulses=pulses)
 
 
 def read_pulses(path):
-    """Pulses of a pulses file.  Keys other than tau, alpha and channel,
-    such as the end time older writers stored, are ignored."""
-    doc = _load(path, "pulses")
-    return [
-        Pulse(tau=p["tau"], alpha=p["alpha"], channel=int(p["channel"]) - 1)
-        for p in doc["pulses"]
-    ]
-
-
-# ---------------------------------------------------------------- record
+    pulses = _read(path, "oqsident/pulses/1")["pulses"]
+    return [_build(f"{path}: pulses[{i}]", Pulse, p) for i, p in enumerate(pulses)]
 
 
 def write_record(path, record):
-    samples = []
-    for s in range(len(record.t)):
-        pid = int(record.pulse_id[s])
-        samples.append(
-            {
-                "t": float(record.t[s]),
-                "y": _real(record.y[s]),
-                "frame": int(record.frame[s]),
-                "offset": int(record.offset_index[s]),
-                "pulse_id": None if pid < 0 else pid + 1,
-            }
-        )
-    doc = {
-        "schema": _SCHEMAS["record"],
-        "samples": samples,
-        "meta": record.meta,
-    }
-    if record.x is not None:
-        doc["x"] = _real(record.x)
-    _dump(doc, path)
+    columns = record.t, record.y, record.frame, record.offset_index, record.pulse_id
+    samples = [
+        SimpleNamespace(t=t, y=y, frame=f, offset=o, pulse_id=None if p < 0 else p)
+        for t, y, f, o, p in zip(*columns)
+    ]
+    _write(path, "oqsident/record/1", record, samples=samples)
 
 
 def read_record(path):
-    doc = _load(path, "record")
+    doc = _read(path, "oqsident/record/1")
     samples = doc["samples"]
-    pid = np.array(
-        [-1 if s["pulse_id"] is None else int(s["pulse_id"]) - 1 for s in samples],
-        dtype=int,
-    )
-    return MeasurementRecord(
-        t=np.array([s["t"] for s in samples], dtype=float),
-        y=np.array([s["y"] for s in samples], dtype=float),
-        frame=np.array([s["frame"] for s in samples], dtype=int),
-        offset_index=np.array([s["offset"] for s in samples], dtype=int),
-        pulse_id=pid,
-        x=np.array(doc["x"], dtype=float) if "x" in doc else None,
-        meta=doc.get("meta", {}),
-    )
 
+    def column(name, dtype=int):
+        return np.array([s[name] for s in samples], dtype=dtype)
 
-# ---------------------------------------------------------------- model
+    pid = np.array([-1 if s["pulse_id"] is None else s["pulse_id"] for s in samples], dtype=int)
+    t, y, frame, offset = column("t", float), column("y", float), column("frame"), column("offset")
+    return MeasurementRecord(t, y, frame, offset, pid, x=doc["x"], meta=doc["meta"])
 
 
 def write_model(path, model):
-    doc = {
-        "schema": _SCHEMAS["model"],
-        "order": int(model.order),
-        "T": float(model.T),
-        "times": _real(model.times),
-        "G": _real(model.G),
-        "G_offsets": [_real(Gi) for Gi in model.G_offsets],
-        "C": _real(model.C),
-        "F": None if model.F is None else [_real(Fi) for Fi in model.F],
-    }
-    _dump(doc, path)
+    _write(path, "oqsident/model/2", model)
 
 
 def read_model(path):
     """DiscreteMultirateModel of a model/2 file, or of a model/1 file,
     whose Gamma is ignored."""
-    doc = _load(path, "model")
-    return DiscreteMultirateModel(
-        order=doc["order"],
-        T=doc["T"],
-        times=np.array(doc["times"], dtype=float),
-        G=np.array(doc["G"], dtype=float),
-        G_offsets=[np.array(Gi, dtype=float) for Gi in doc["G_offsets"]],
-        C=np.array(doc["C"], dtype=float),
-        F=None if doc["F"] is None else [np.array(Fi, dtype=float) for Fi in doc["F"]],
-    )
-
-
-# ---------------------------------------------------------------- contsys
+    return DiscreteMultirateModel(**_read(path, "oqsident/model/2"))
 
 
 def write_contsys(path, model):
-    doc = {
-        "schema": _SCHEMAS["contsys"],
-        "A": _real(model.A),
-        "B": None if model.B is None else _real(model.B),
-        "eigenvalues": None
-        if model.eigenvalues is None
-        else _cpairs(model.eigenvalues),
-        "window": model.window,
-        "residuals": model.residuals,
-        "notes": model.notes,
-    }
-    _dump(doc, path)
+    _write(path, "oqsident/contsys/1", model)
 
 
 def read_contsys(path):
-    doc = _load(path, "contsys")
-    eig = doc.get("eigenvalues")
-    return ContinuousModel(
-        A=np.array(doc["A"], dtype=float),
-        B=None if doc["B"] is None else np.array(doc["B"], dtype=float),
-        eigenvalues=None if eig is None else _from_cpairs(eig, (len(eig),)),
-        window=doc.get("window"),
-        residuals=doc.get("residuals", []),
-        notes=doc.get("notes", []),
-    )
-
-
-# ---------------------------------------------------------------- report
+    return ContinuousModel(**_read(path, "oqsident/contsys/1"))
 
 
 def write_report(path, report):
-    doc = {
-        "schema": _SCHEMAS["report"],
-        "mode": report.mode,
-        "verdict": bool(report.verdict),
-        "inconclusive": bool(report.inconclusive),
-        "required_rank": int(report.required_rank),
-        "rank_obs": int(report.rank_obs),
-        "rank_ctrl": int(report.rank_ctrl),
-        "pulses_ok": report.pulses_ok,
-        "clauses": report.clauses,
-    }
-    if report.channels is not None:
-        doc["channels"] = [int(c) + 1 for c in report.channels]
-    if report.sampling is not None:
-        doc["sampling"] = {
-            "ok": report.sampling.ok,
-            "declared": report.sampling.declared,
-            "pairs": [
-                {
-                    "i": p.i + 1,
-                    "j": p.j + 1,
-                    "ratio": p.ratio,
-                    "verdict": p.verdict,
-                    "p": p.p,
-                    "q": p.q,
-                }
-                for p in report.sampling.pairs
-            ],
-        }
-    _dump(doc, path)
+    _write(path, "oqsident/report/1", report)
 
 
 def read_report(path):
-    doc = _load(path, "report")
-    sampling = None
-    if "sampling" in doc:
-        sampling = SamplingPolicyReport(
-            pairs=[
-                PairVerdict(
-                    i=p["i"] - 1,
-                    j=p["j"] - 1,
-                    ratio=p["ratio"],
-                    verdict=p["verdict"],
-                    p=p.get("p"),
-                    q=p.get("q"),
-                )
-                for p in doc["sampling"]["pairs"]
-            ],
-            ok=doc["sampling"]["ok"],
-            declared=doc["sampling"]["declared"],
-        )
-    return IdentifiabilityReport(
-        mode=doc["mode"],
-        verdict=doc["verdict"],
-        inconclusive=doc["inconclusive"],
-        required_rank=doc["required_rank"],
-        rank_obs=doc["rank_obs"],
-        rank_ctrl=doc["rank_ctrl"],
-        sampling=sampling,
-        pulses_ok=doc.get("pulses_ok"),
-        clauses=list(doc.get("clauses", [])),
-        channels=None if "channels" not in doc else tuple(c - 1 for c in doc["channels"]),
-    )
-
-
-# ---------------------------------------------------------------- params_hat
+    doc = _read(path, "oqsident/report/1")
+    sampling = doc["sampling"]
+    if sampling is not None:
+        pairs = [PairVerdict(**p) for p in sampling.pop("pairs")]
+        doc["sampling"] = SamplingPolicyReport(pairs=pairs, **sampling)
+    if doc["channels"] is not None:
+        doc["channels"] = tuple(doc["channels"])
+    return IdentifiabilityReport(**doc)
 
 
 def write_params_hat(path, rec):
     n = None if rec.gamma is None else rec.gamma.shape[0]
-    doc = {
-        "schema": _SCHEMAS["params_hat"],
-        "status": rec.status,
-        "theta": None if rec.theta is None else _real(rec.theta),
-        "gamma": None if rec.gamma is None else _cpairs(rec.gamma),
-        "n": n,
-        "residual_A": rec.residual_A,
-        "residual_beta": rec.residual_beta,
-        "kappa": rec.kappa,
-        "hermiticity_defect": rec.hermiticity_defect,
-        "notes": rec.notes,
-    }
-    _dump(doc, path)
+    _write(path, "oqsident/params_hat/1", rec, n=n)
 
 
 def read_params_hat(path):
-    doc = _load(path, "params_hat")
-    gamma = None
-    if doc["gamma"] is not None:
-        n = doc["n"]
-        gamma = _from_cpairs(doc["gamma"], (n, n))
-    return RecoveredParams(
-        status=doc["status"],
-        theta=None if doc["theta"] is None else np.array(doc["theta"], dtype=float),
-        gamma=gamma,
-        residual_A=doc.get("residual_A"),
-        residual_beta=doc.get("residual_beta"),
-        kappa=doc.get("kappa"),
-        hermiticity_defect=doc.get("hermiticity_defect"),
-        notes=list(doc.get("notes", [])),
-    )
+    doc = _read(path, "oqsident/params_hat/1")
+    del doc["n"]
+    return RecoveredParams(**doc)

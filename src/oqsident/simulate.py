@@ -43,6 +43,8 @@ class Pulse:
     channel: int
 
     def __post_init__(self):
+        if not isinstance(self.channel, (int, np.integer)):
+            raise ValueError(f"pulse channel must be an integer, got {self.channel!r}")
         if self.tau < 0:
             raise ValueError("pulse width tau must be nonnegative")
 
@@ -89,6 +91,10 @@ class SamplingSchedule:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        if not isinstance(self.T, (int, float, np.integer, np.floating)):
+            raise ValueError(f"frame length T must be a real number, got {self.T!r}")
+        if not isinstance(self.frames, (int, np.integer)):
+            raise ValueError(f"frames must be an integer, got {self.frames!r}")
         if self.T <= 0:
             raise ValueError("frame length T must be positive")
         if self.frames < 1:

@@ -283,6 +283,78 @@ def test_reconstruct_lds_reads_model_v1(workdir, tmp_path):
     assert contsys_v1.read_bytes() == paths["contsys"].read_bytes()
 
 
+
+@pytest.fixture(scope="module")
+def demo_files(tmp_path_factory):
+    """The two-qubit demo's files."""
+    out_dir = tmp_path_factory.mktemp("demo")
+    run_two_qubit_demo(out_dir=str(out_dir))
+    return out_dir
+
+
+def _without(doc, key):
+    del doc[key]
+    return doc
+
+
+def _with(doc, key, value):
+    doc[key] = value
+    return doc
+
+
+def _first_record_cut(doc):
+    doc["N_list"][0] = doc["N_list"][0][:2]
+    return doc
+
+
+def _sample_without_y(doc):
+    del doc["samples"][3]["y"]
+    return doc
+
+
+# (file broken, how, the command, what stderr names after the path), for
+# files that once ended in a traceback, a bare numpy error or exit 0
+MALFORMED = {
+    "system-without-C": ("system", lambda d: _without(d, "C"), "check", "C: missing"),
+    "schedule-without-frames": (
+        "schedule", lambda d: _without(d, "frames"), "check", "frames: missing"
+    ),
+    "schedule-T-string": (
+        "schedule", lambda d: _with(d, "T", "0.5"), "check", 'T: "0.5" is not a number'
+    ),
+    "top-level-list": ("system", lambda d: [d], "check", "the top level is not a JSON object"),
+    "N_list-record-of-two": (
+        "system", _first_record_cut, "check", "N_list: rows of unequal length"
+    ),
+    "record-sample-without-y": (
+        "record", _sample_without_y, "fit-discrete", "samples[3].y: missing"
+    ),
+    "A_l-2x2-at-2-qubits": (
+        "system", lambda d: _with(d, "A_l", [[0.0, 1.0], [1.0, 0.0]]), "check",
+        "A_l: shape (2, 2), expected (15, 15)",
+    ),
+    "schedule-frames-2.5": (
+        "schedule", lambda d: _with(d, "frames", 2.5), "check", "frames: 2.5 is not an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_exits_one_naming_the_field(demo_files, case, tmp_path, capsys):
+    name, breaks, command, named = MALFORMED[case]
+    files = {k: str(demo_files / f"{k}.json") for k in ("system", "schedule", "record")}
+    bad = tmp_path / f"bad_{name}.json"
+    bad.write_text(json.dumps(breaks(json.loads((demo_files / f"{name}.json").read_text()))))
+    files[name] = str(bad)
+    argv = {
+        "check": ["check", "--system", files["system"], "--schedule", files["schedule"]],
+        "fit-discrete": ["fit-discrete", "--record", files["record"], "--schedule",
+                         files["schedule"], "--order", "15", "--out", str(tmp_path / "m.json")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {named}\n"
+
+
 def test_simulate_noise_seed_reproducible(workdir):
     paths, _, _ = workdir
     main(["build", "--basis", str(paths["basis"]),

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from oqsident import (
+    CoherenceSystem,
+    ContinuousModel,
+    DiscreteMultirateModel,
     GkslParams,
+    IdentifiabilityReport,
+    MeasurementRecord,
+    RecoveredParams,
+    SamplingPolicyReport,
     SchemaError,
     assemble_system,
     build_basis,
@@ -46,6 +53,7 @@ from oqsident import (
     write_schedule,
     write_system,
 )
+from oqsident.identify import PairVerdict
 from oqsident.paramrec import build_reconstruction_matrices
 from oqsident.simulate import Pulse, SamplingSchedule
 from oracles import f_dense, write_system_dense
@@ -473,6 +481,30 @@ def test_model_v1_with_gamma_reads(tmp_path):
     assert "Gamma" not in doc
 
 
+
+@pytest.mark.parametrize("cut", ["x", "times", "G_offsets"])
+def test_list_lengths_must_agree(cut, tmp_path):
+    # a record's states are one row per sample and a model's offset maps
+    # one per offset time; a shorter list used to end in an IndexError
+    # downstream, or (times) to go unnoticed
+    if cut == "x":
+        path = tmp_path / "record.json"
+        write_record(path, _demo_record())
+        want = r"x: shape \(\d+, 3\), expected \(\d+, \*\)"
+    else:
+        rng = np.random.default_rng(409)
+        A = rng.normal(size=(3, 3)) - 2.0 * np.eye(3)
+        model = exact_multirate_model(A, rng.normal(size=(3, 1)), np.eye(3),
+                                      golden_schedule(T=0.5, l=2))
+        path = tmp_path / "model.json"
+        write_model(path, model)
+        want = r"G_offsets: shape \(\d,\), expected \(\d,\)"
+    doc = json.loads(path.read_text())
+    doc[cut] = doc[cut][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {want}$"):
+        (read_record if cut == "x" else read_model)(path)
+
 def test_contsys_round_trip(tmp_path):
     rng = np.random.default_rng(411)
     A = rng.normal(size=(3, 3)) - 2.0 * np.eye(3)
@@ -599,6 +631,34 @@ def test_schema_guards(one_qubit, tmp_path):
     assert issubclass(SchemaError, ValueError)
 
 
+
+def test_unparsable_file_named(tmp_path):
+    # json's own error names a line and column, not the file
+    path = tmp_path / "schedule.json"
+    write_schedule(path, golden_schedule(T=0.5, l=1))
+    path.write_text(path.read_text()[:-10])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not JSON: "):
+        read_schedule(path)
+
+
+@pytest.mark.parametrize("kind", ["schedule", "pulses"])
+def test_out_of_range_value_named_with_path(kind, tmp_path):
+    # the objects' own range checks used to reach the CLI without the file
+    path = tmp_path / f"{kind}.json"
+    if kind == "schedule":
+        write_schedule(path, golden_schedule(T=0.5, l=1))
+        doc = json.loads(path.read_text())
+        doc["frames"] = 0
+        want, read = "frames must be at least 1", read_schedule
+    else:
+        write_pulses(path, make_pulse_family(0.8, [0.1, 0.3]))
+        doc = json.loads(path.read_text())
+        doc["pulses"][1]["tau"] = -0.1
+        want, read = r"pulses\[1\]: pulse width tau must be nonnegative", read_pulses
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {want}$"):
+        read(path)
+
 def test_write_is_idempotent(one_qubit, tmp_path):
     # repr floats: write -> read -> write reproduces the file byte for byte
     basis, tensors = one_qubit
@@ -608,3 +668,128 @@ def test_write_is_idempotent(one_qubit, tmp_path):
     b2, t2 = read_basis(p1)
     write_basis(p2, b2, t2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------- on-disk bytes
+
+
+def _pinned_objects():
+    """Writer and arguments of each format, from small literal 1-qubit
+    objects, so that no numerical change elsewhere moves these files."""
+    gamma = np.array([[0.5, 0.25j, 0.0], [-0.25j, 0.5, 0.0], [0.0, 0.0, 0.125]])
+    raw = build_basis(1, normalized=False)
+    return {
+        "basis": (write_basis, raw, structure_constants(raw)),
+        "params": (
+            write_params, GkslParams(theta=[0.0, -0.5, 1.5], gamma=gamma), [np.diag([1.0, -1.0])]
+        ),
+        "system": (write_system, CoherenceSystem(
+            n=3, A_l=[[0.0, -1.5, 0.0], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            A_d=np.diag([-0.5, -0.5, -1.0]), beta=[0.0, 0.0, 0.25],
+            N_ind=np.array([[0, 1, 2], [0, 2, 1]]), N_val=np.array([-2.0, 2.0]), m=1,
+            C=[[0.0, 0.0, 1.0]], x0=[0.0, 0.0, 0.5],
+        )),
+        "schedule": (write_schedule, SamplingSchedule(
+            T=0.5, times=[0.0, 0.2, 0.5], frames=2, declared_irrational=True, note="by hand"
+        )),
+        "pulses": (write_pulses, [Pulse(0.1, 0.8, 0), Pulse(0.25, -0.4, 2)]),
+        "record": (write_record, MeasurementRecord(
+            t=np.array([0.0, 0.2]), y=np.array([[0.5], [0.375]]), frame=np.array([0, 0]),
+            offset_index=np.array([0, 1]), pulse_id=np.array([0, -1]),
+            x=np.array([[0.0, 0.0, 0.5], [0.125, 0.0, 0.375]]), meta={"seed": 7},
+        )),
+        "model": (write_model, DiscreteMultirateModel(
+            order=2, T=0.5, times=np.array([0.0, 0.2, 0.5]), G=np.diag([0.5, 0.25]),
+            G_offsets=[np.eye(2), np.diag([0.75, 0.5]), np.diag([0.5, 0.25])],
+            C=np.array([[1.0, 0.0]]), F=[np.array([[0.125], [0.0]])] * 2,
+        )),
+        "contsys": (write_contsys, ContinuousModel(
+            A=np.array([[-1.0, 2.0], [-2.0, -1.0]]), eigenvalues=np.array([-1 + 2j, -1 - 2j]),
+            window=6.25, residuals=[1e-16],
+            notes=["no input maps in the family; B not recovered"],
+        )),
+        "report": (write_report, IdentifiabilityReport(
+            mode="autonomous", verdict=False, inconclusive=False, required_rank=3,
+            rank_obs=3, rank_ctrl=0, sampling=SamplingPolicyReport(
+                pairs=[PairVerdict(i=0, j=1, ratio=0.5, verdict="rational", p=1, q=2)],
+                ok=False, declared=False,
+            ),
+            clauses=["increments 1 and 2 are commensurate"], channels=(0, 2),
+        )),
+        "params_hat": (write_params_hat, RecoveredParams(
+            status="full", theta=np.array([0.0, -0.5, 1.5]), gamma=gamma, residual_A=2.5e-16,
+            residual_beta=0.0, kappa=4.0, hermiticity_defect=0.0, notes=[],
+        )),
+    }
+
+
+# each file with the newlines and indents of its layout removed
+_PINNED = {
+    "basis": (
+        '{"schema": "oqsident/basis/1","num_qubits": 1,"dim": 2,"n": 3,"normalized": false,'
+        '"words": ["x","y","z"],"generators": [[[0.0,0.0],[1.0,0.0],[1.0,0.0],[0.0,0.0]],'
+        '[[0.0,0.0],[0.0,-1.0],[0.0,1.0],[0.0,0.0]],[[1.0,0.0],[0.0,0.0],[0.0,0.0],[-1.0,'
+        '0.0]]],"identity": [[1.0,0.0],[0.0,0.0],[0.0,0.0],[1.0,0.0]],"f": [[1,2,3,2.0],[1,3,'
+        '2,-2.0],[2,1,3,-2.0],[2,3,1,2.0],[3,1,2,2.0],[3,2,1,-2.0]],"g": []}'
+    ),
+    "params": (
+        '{"schema": "oqsident/params/1","n": 3,"theta": [0.0,-0.5,1.5],"gamma": [[0.5,0.0],'
+        '[0.0,0.25],[0.0,0.0],[-0.0,-0.25],[0.5,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.125,'
+        '0.0]],"symmetric": false,"observables": [[[1.0,0.0],[0.0,0.0],[0.0,0.0],[-1.0,'
+        '0.0]]],"observable_dim": 2}'
+    ),
+    "system": (
+        '{"schema": "oqsident/system/1","n": 3,"A_l": [[0.0,-1.5,0.0],[1.5,0.0,0.0],[0.0,0.0,'
+        '0.0]],"A_d": [[-0.5,0.0,0.0],[0.0,-0.5,0.0],[0.0,0.0,-1.0]],"beta": [0.0,0.0,0.25],'
+        '"channels": 1,"N_list": [[1,2,3,-2.0],[1,3,2,2.0]],"C": [[0.0,0.0,1.0]],"x0": [0.0,'
+        '0.0,0.5]}'
+    ),
+    "schedule": (
+        '{"schema": "oqsident/schedule/1","T": 0.5,"times": [0.0,0.2,0.5],"frames": 2,'
+        '"declared_irrational": true,"note": "by hand"}'
+    ),
+    "pulses": (
+        '{"schema": "oqsident/pulses/1","pulses": [{"tau": 0.1,"alpha": 0.8,"channel": 1},'
+        '{"tau": 0.25,"alpha": -0.4,"channel": 3}]}'
+    ),
+    "record": (
+        '{"schema": "oqsident/record/1","samples": [{"t": 0.0,"y": [0.5],"frame": 0,'
+        '"offset": 0,"pulse_id": 1},{"t": 0.2,"y": [0.375],"frame": 0,"offset": 1,'
+        '"pulse_id": null}],"meta": {"seed": 7},"x": [[0.0,0.0,0.5],[0.125,0.0,0.375]]}'
+    ),
+    "model": (
+        '{"schema": "oqsident/model/2","order": 2,"T": 0.5,"times": [0.0,0.2,0.5],"G": [[0.5,'
+        '0.0],[0.0,0.25]],"G_offsets": [[[1.0,0.0],[0.0,1.0]],[[0.75,0.0],[0.0,0.5]],[[0.5,'
+        '0.0],[0.0,0.25]]],"C": [[1.0,0.0]],"F": [[[0.125],[0.0]],[[0.125],[0.0]]]}'
+    ),
+    "contsys": (
+        '{"schema": "oqsident/contsys/1","A": [[-1.0,2.0],[-2.0,-1.0]],"B": null,'
+        '"eigenvalues": [[-1.0,2.0],[-1.0,-2.0]],"window": 6.25,"residuals": [1e-16],'
+        '"notes": ["no input maps in the family; B not recovered"]}'
+    ),
+    "report": (
+        '{"schema": "oqsident/report/1","mode": "autonomous","verdict": false,'
+        '"inconclusive": false,"required_rank": 3,"rank_obs": 3,"rank_ctrl": 0,'
+        '"pulses_ok": null,"clauses": ["increments 1 and 2 are commensurate"],"channels": [1,'
+        '3],"sampling": {"ok": false,"declared": false,"pairs": [{"i": 1,"j": 2,"ratio": 0.5,'
+        '"verdict": "rational","p": 1,"q": 2}]}}'
+    ),
+    "params_hat": (
+        '{"schema": "oqsident/params_hat/1","status": "full","theta": [0.0,-0.5,1.5],'
+        '"gamma": [[0.5,0.0],[0.0,0.25],[0.0,0.0],[-0.0,-0.25],[0.5,0.0],[0.0,0.0],[0.0,0.0],'
+        '[0.0,0.0],[0.125,0.0]],"n": 3,"residual_A": 2.5e-16,"residual_beta": 0.0,'
+        '"kappa": 4.0,"hermiticity_defect": 0.0,"notes": []}'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_PINNED))
+def test_written_bytes_are_pinned(fmt, tmp_path):
+    writer, *args = _pinned_objects()[fmt]
+    path = tmp_path / f"{fmt}.json"
+    writer(path, *args)
+    text = path.read_text()
+    # the layout: json.dumps with indent=1, then a newline
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    # the fields, their order and the repr of every number
+    assert re.sub(r"\n *", "", text) == _PINNED[fmt]

@@ -97,6 +97,33 @@ def test_pulse_validation():
         make_pulse_family(0.0, [0.1])
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"frames": 2.5}, "frames"), ({"frames": "2"}, "frames"), ({"T": "0.5"}, "T"),
+     ({"T": None}, "T")],
+)
+def test_schedule_refuses_non_numbers(kwargs, field):
+    # a float frame count used to pass and fail later inside simulate, a
+    # string T with a TypeError from the comparison with 0
+    args = {"T": 0.5, "times": [0.0, 0.2, 0.5], **kwargs}
+    with pytest.raises(ValueError, match=rf"\b{field} must be"):
+        SamplingSchedule(**args)
+
+
+def test_schedule_takes_numpy_numbers():
+    sched = SamplingSchedule(T=np.float64(0.5), times=[0.0, 0.2, 0.5], frames=np.int64(2))
+    assert sched.frames == 2 and sched.T == 0.5
+
+
+@pytest.mark.parametrize("channel", [0.5, 1.0, "0", None])
+def test_pulse_refuses_non_integer_channel(channel):
+    # channel 0.5 drove nothing in simulate, while the report counted it
+    # as channel 0
+    with pytest.raises(ValueError, match=r"pulse channel must be an integer"):
+        Pulse(tau=0.6, alpha=2.0, channel=channel)
+    assert Pulse(tau=0.6, alpha=2.0, channel=np.int64(1)).channel == 1
+
+
 def test_stamp_layout():
     sched = SamplingSchedule(T=0.3, times=[0.0, 0.1, 0.3], frames=2)
     sys = toy_system(np.zeros((2, 2)))
